@@ -12,12 +12,16 @@ bytes are recoverable (authentication, decompression, plaintext digest).
 
 from __future__ import annotations
 
+import contextlib
 import os
+import stat
+import threading
 import unicodedata
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import BinaryIO
 
 from . import payload as payload_mod
 from .errors import ConfigError, IntegrityError
@@ -43,10 +47,6 @@ KIND_EXTRA = "extra-file"
 KIND_DECODE = "decode-failure"
 KIND_PLAIN_SIZE = "plain-size-mismatch"
 KIND_PLAIN_DIGEST = "plain-digest-mismatch"
-
-
-def _default_workers() -> int:
-    return max(1, min(8, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -134,6 +134,15 @@ def _resolve_key(
     return payload_mod.derive_key(passphrase, kdf)
 
 
+def _worker_count(workers: int | None) -> int:
+    """None means one thread per core, up to 8; anything else must be at least 1."""
+    if workers is None:
+        return max(1, min(8, os.cpu_count() or 1))
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
+    return workers
+
+
 def pack(
     source_dir: Path,
     brick_dir: Path,
@@ -143,9 +152,14 @@ def pack(
     kdf_iterations: int = DEFAULT_KDF_ITERATIONS,
     workers: int | None = None,
 ) -> PackResult:
-    """Pack source_dir into a new brick at brick_dir."""
+    """Pack source_dir into a new brick at brick_dir.
+
+    Each source file is read once, in bounded chunks, and streamed through
+    the codec chain into its payload.
+    """
     source_dir = Path(source_dir)
     brick_dir = Path(brick_dir)
+    thread_count = _worker_count(workers)
     if not source_dir.is_dir():
         raise ConfigError(f"source {source_dir} is not a directory")
     _require_empty_dir(brick_dir, "destination")
@@ -156,7 +170,10 @@ def pack(
 
     kdf = None
     if is_encrypted(chain):
-        kdf = KdfParams(iterations=kdf_iterations, salt=payload_mod.new_salt())
+        try:
+            kdf = KdfParams(iterations=kdf_iterations, salt=payload_mod.new_salt())
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     elif passphrase is not None:
         raise ConfigError("passphrase provided but the codec chain does not encrypt")
     key = _resolve_key(chain, passphrase, kdf)
@@ -166,20 +183,17 @@ def pack(
 
     def store(item: tuple[str, Path]) -> ChunkEntry:
         stored, real = item
-        plain = real.read_bytes()
-        encoded = payload_mod.encode_payload(plain, chain, key)
         out = brick_dir / stored
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_bytes(encoded)
-        return ChunkEntry(
-            path=stored,
-            plain_size=len(plain),
-            plain_sha256=payload_mod.sha256_hex(plain),
-            payload_size=len(encoded),
-            payload_sha256=payload_mod.sha256_hex(encoded),
-        )
+        with open(real, "rb", buffering=0) as source, open(out, "wb") as sink:
+            size = os.fstat(source.fileno()).st_size
+            try:
+                encoded = payload_mod.encode_file(source.fileno(), size, sink.write, chain, key)
+            except ConfigError as exc:
+                raise ConfigError(f"{stored}: {exc}") from None
+        return ChunkEntry(stored, *encoded)
 
-    with ThreadPoolExecutor(max_workers=workers or _default_workers()) as pool:
+    with ThreadPoolExecutor(max_workers=thread_count) as pool:
         entries = sorted_entries(list(pool.map(store, files)))
 
     manifest = Manifest(
@@ -205,6 +219,48 @@ def load_manifest(brick_dir: Path) -> Manifest:
     return parse_manifest(path.read_bytes())
 
 
+def _nonblocking(path: str, flags: int) -> int:
+    # A FIFO planted in a brick must not block the open; fstat then rejects it.
+    return os.open(path, flags | os.O_NONBLOCK)
+
+
+def _open_payload(brick_dir: Path, entry: ChunkEntry) -> tuple[BinaryIO | None, Finding | None]:
+    """Open an entry's payload, or say why it cannot be the payload the manifest lists."""
+    try:
+        source = open(brick_dir / entry.path, "rb", buffering=0, opener=_nonblocking)
+    except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
+        return None, Finding(entry.path, KIND_MISSING, "payload file not found")
+    info = os.fstat(source.fileno())
+    if not stat.S_ISREG(info.st_mode):
+        finding = Finding(entry.path, KIND_MISSING, "payload file not found")
+    elif info.st_size != entry.payload_size:
+        detail = f"payload is {info.st_size} bytes, manifest says {entry.payload_size}"
+        finding = Finding(entry.path, KIND_SIZE, detail)
+    else:
+        return source, None
+    source.close()
+    return None, finding
+
+
+def _judge(entry: ChunkEntry, decoded: payload_mod.Decoded, deep: bool) -> Finding | None:
+    """The most precise single finding for one read of a payload."""
+    if decoded.payload_sha256 != entry.payload_sha256:
+        return Finding(entry.path, KIND_PAYLOAD_DIGEST, "stored bytes do not match")
+    if not deep:
+        return None
+    if decoded.error is not None:
+        return Finding(entry.path, KIND_DECODE, decoded.error)
+    if decoded.overflow:
+        detail = f"decoded to more than the {entry.plain_size} bytes the manifest says"
+        return Finding(entry.path, KIND_PLAIN_SIZE, detail)
+    if decoded.plain_size != entry.plain_size:
+        detail = f"decoded to {decoded.plain_size} bytes, manifest says {entry.plain_size}"
+        return Finding(entry.path, KIND_PLAIN_SIZE, detail)
+    if decoded.plain_sha256 != entry.plain_sha256:
+        return Finding(entry.path, KIND_PLAIN_DIGEST, "decoded bytes do not match")
+    return None
+
+
 def _check_entry(
     brick_dir: Path,
     entry: ChunkEntry,
@@ -213,28 +269,14 @@ def _check_entry(
     key: bytes | None,
 ) -> tuple[Finding | None, int]:
     """Most precise single finding for one entry, plus bytes read."""
-    stored = brick_dir / entry.path
-    if not stored.is_file():
-        return Finding(entry.path, KIND_MISSING, "payload file not found"), 0
-    actual_size = stored.stat().st_size
-    if actual_size != entry.payload_size:
-        detail = f"payload is {actual_size} bytes, manifest says {entry.payload_size}"
-        return Finding(entry.path, KIND_SIZE, detail), 0
-    digest, size = payload_mod.sha256_file(stored)
-    if digest != entry.payload_sha256:
-        return Finding(entry.path, KIND_PAYLOAD_DIGEST, "stored bytes do not match"), size
-    if not deep:
-        return None, size
-    try:
-        plain = payload_mod.decode_payload(stored.read_bytes(), chain, key)
-    except IntegrityError as exc:
-        return Finding(entry.path, KIND_DECODE, str(exc)), size
-    if len(plain) != entry.plain_size:
-        detail = f"decoded to {len(plain)} bytes, manifest says {entry.plain_size}"
-        return Finding(entry.path, KIND_PLAIN_SIZE, detail), size
-    if payload_mod.sha256_hex(plain) != entry.plain_sha256:
-        return Finding(entry.path, KIND_PLAIN_DIGEST, "decoded bytes do not match"), size
-    return None, size
+    source, finding = _open_payload(brick_dir, entry)
+    if source is None:
+        return finding, 0
+    with source:
+        decoded = payload_mod.decode_file(
+            source.fileno(), entry.payload_size, chain if deep else None, key, entry.plain_size
+        )
+    return _judge(entry, decoded, deep), decoded.payload_size
 
 
 def verify(
@@ -243,8 +285,12 @@ def verify(
     passphrase: str | None = None,
     workers: int | None = None,
 ) -> VerifyReport:
-    """Check a brick against its manifest; never raises for per-file defects."""
+    """Check a brick against its manifest; never raises for per-file defects.
+
+    Each payload is read once, deep or not.
+    """
     brick_dir = Path(brick_dir)
+    thread_count = _worker_count(workers)
     manifest = load_manifest(brick_dir)
     key = None
     if deep:
@@ -253,7 +299,7 @@ def verify(
     def check(entry: ChunkEntry) -> tuple[Finding | None, int]:
         return _check_entry(brick_dir, entry, deep, manifest.codec_chain, key)
 
-    with ThreadPoolExecutor(max_workers=workers or _default_workers()) as pool:
+    with ThreadPoolExecutor(max_workers=thread_count) as pool:
         results = list(pool.map(check, manifest.entries))
 
     findings = [finding for finding, _ in results if finding is not None]
@@ -278,38 +324,99 @@ def verify(
     )
 
 
+def _directories(entries: tuple[ChunkEntry, ...]) -> list[str]:
+    """Every directory the entries need, each after its parent."""
+    found: set[str] = set()
+    for entry in entries:
+        parts = entry.path.split("/")[:-1]
+        found.update("/".join(parts[:depth]) for depth in range(1, len(parts) + 1))
+    return sorted(found)
+
+
+def _scratch_names(entries: tuple[ChunkEntry, ...], directories: list[str]) -> list[str]:
+    """A name per entry, in the entry's directory, that no manifest path or directory uses."""
+    taken = {entry.path for entry in entries} | set(directories)
+    names = []
+    for index, entry in enumerate(entries):
+        parent, slash, _ = entry.path.rpartition("/")
+        name = f"{parent}{slash}.brick-{index}.part"
+        while name in taken:  # only a manifest that lists such names can force this
+            name += ".part"
+        names.append(name)
+    return names
+
+
+def _restore(
+    brick_dir: Path, entry: ChunkEntry, chain: tuple[str, ...], key: bytes | None,
+    scratch: Path, final: Path,
+) -> int:
+    """Decode one payload into scratch and give it its final name once it is proven."""
+    source, finding = _open_payload(brick_dir, entry)
+    if source is None:
+        raise IntegrityError(str(finding))
+    with source, open(scratch, "xb") as out:
+        try:
+            decoded = payload_mod.decode_file(
+                source.fileno(), entry.payload_size, chain, key, entry.plain_size, out.write
+            )
+            out.close()  # flushed before the file can get its name
+            finding = _judge(entry, decoded, deep=True)
+            if finding is not None:
+                raise IntegrityError(str(finding))
+            os.rename(scratch, final)
+        except BaseException:
+            scratch.unlink(missing_ok=True)
+            raise
+    return decoded.plain_size
+
+
 def unpack(
     brick_dir: Path,
     dest_dir: Path,
     passphrase: str | None = None,
     workers: int | None = None,
 ) -> UnpackResult:
-    """Restore the original tree, proving every file before it is written.
+    """Restore the original tree, proving every file before it gets its name.
 
-    Fails fast on the first bad payload; files already restored are left in
-    place so a rerun after repair can be compared against them.
+    Each payload is read once and decoded into a scratch file beside its
+    final name; the rename happens only after the payload digest, the GCM
+    tag and the plain digest all match. Fails fast on the first bad payload:
+    no further file is started, its scratch file and any directory left
+    empty are removed, and files already restored are left in place so a
+    rerun after repair can be compared against them.
     """
     brick_dir = Path(brick_dir)
     dest_dir = Path(dest_dir)
+    thread_count = _worker_count(workers)
     manifest = load_manifest(brick_dir)
     _require_empty_dir(dest_dir, "destination")
-    key = _resolve_key(manifest.codec_chain, passphrase, manifest.kdf)
+    chain = manifest.codec_chain
+    key = _resolve_key(chain, passphrase, manifest.kdf)
     dest_dir.mkdir(parents=True, exist_ok=True)
+    directories = _directories(manifest.entries)
+    jobs = list(zip(manifest.entries, _scratch_names(manifest.entries, directories)))
+    failed = threading.Event()
 
-    def restore(entry: ChunkEntry) -> int:
-        finding, _ = _check_entry(brick_dir, entry, True, manifest.codec_chain, key)
-        if finding is not None:
-            raise IntegrityError(str(finding))
-        plain = payload_mod.decode_payload(
-            (brick_dir / entry.path).read_bytes(), manifest.codec_chain, key
-        )
-        out = dest_dir / entry.path
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_bytes(plain)
-        return len(plain)
+    def restore(job: tuple[ChunkEntry, str]) -> int:
+        if failed.is_set():
+            return 0
+        entry, scratch = job
+        try:
+            return _restore(brick_dir, entry, chain, key, dest_dir / scratch, dest_dir / entry.path)
+        except BaseException:
+            failed.set()
+            raise
 
-    with ThreadPoolExecutor(max_workers=workers or _default_workers()) as pool:
-        written = list(pool.map(restore, manifest.entries))
+    try:
+        for directory in directories:
+            (dest_dir / directory).mkdir(exist_ok=True)
+        with ThreadPoolExecutor(max_workers=thread_count) as pool:
+            written = list(pool.map(restore, jobs))
+    except BaseException:
+        for directory in reversed(directories):
+            with contextlib.suppress(OSError):
+                (dest_dir / directory).rmdir()  # only succeeds while empty
+        raise
 
     return UnpackResult(
         dest_dir=dest_dir, file_count=len(written), bytes_written=sum(written)

@@ -44,6 +44,9 @@ VALID_CHAINS = (
 
 KDF_ALGORITHM = "pbkdf2-hmac-sha256"
 DEFAULT_KDF_ITERATIONS = 210_000
+# Far above any sane setting; bounds what a hostile manifest can make
+# verify --deep spend in PBKDF2 (about 2 s per brick on one current x86 core).
+MAX_KDF_ITERATIONS = 10_000_000
 SALT_BYTES = 16
 
 _HEX_DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
@@ -126,8 +129,8 @@ class KdfParams:
     def __post_init__(self) -> None:
         if self.algorithm != KDF_ALGORITHM:
             raise ValueError(f"unsupported kdf {self.algorithm!r}")
-        if self.iterations < 1:
-            raise ValueError("kdf iterations must be >= 1")
+        if not 1 <= self.iterations <= MAX_KDF_ITERATIONS:
+            raise ValueError(f"kdf iterations must be between 1 and {MAX_KDF_ITERATIONS:,}")
         if len(self.salt) != SALT_BYTES:
             raise ValueError(f"salt must be {SALT_BYTES} bytes")
 
@@ -230,11 +233,20 @@ def _fail(line_number: int, message: str) -> ManifestError:
     return ManifestError(message, line=line_number)
 
 
+def _decimal(text: str, what: str, line_number: int) -> int:
+    """Parse the one spelling serialize_manifest writes: no sign, padding or separators."""
+    if not (text.isascii() and text.isdigit()) or (text[0] == "0" and text != "0"):
+        raise _fail(line_number, f"{what} {text!r} is not a canonical decimal")
+    return int(text)
+
+
 def parse_manifest(data: bytes) -> Manifest:
     """Parse and fully validate manifest bytes.
 
     Any structural defect raises with the line it was found on; a digest
-    mismatch or truncation never yields a partial manifest.
+    mismatch or truncation never yields a partial manifest. Only the bytes
+    serialize_manifest would write are accepted, so each manifest has one
+    encoding.
     """
     if not data.endswith(b"\n"):
         raise ManifestError("truncated: missing final newline")
@@ -288,13 +300,18 @@ def parse_manifest(data: bytes) -> Manifest:
         try:
             kdf = KdfParams(
                 algorithm=headers["kdf"],
-                iterations=int(headers["iterations"]),
+                iterations=_decimal(headers["iterations"], "iterations", index + 1),
                 salt=bytes.fromhex(headers["salt"]),
             )
         except ValueError as exc:
             raise _fail(index + 1, f"bad kdf parameters: {exc}") from None
+        if kdf.salt.hex() != headers["salt"]:
+            raise _fail(index + 1, "salt must be lowercase hex without spaces")
     elif any(key in headers for key in ("kdf", "iterations", "salt")):
         raise _fail(index + 1, "kdf headers present but the chain does not encrypt")
+    order = ["dataset", "created", "codec"] + (["kdf", "iterations", "salt"] if kdf else [])
+    if list(headers) != order:
+        raise _fail(index + 1, f"headers must appear in the order {', '.join(order)}")
 
     index += 1  # past the blank line
     entries: list[ChunkEntry] = []
@@ -311,11 +328,14 @@ def parse_manifest(data: bytes) -> Manifest:
         if len(fields) != 5:
             raise _fail(index + 1, f"expected 5 tab-separated fields, got {len(fields)}")
         try:
+            path = decode_path(fields[0])
+            if encode_path(path) != fields[0]:
+                raise ValueError(f"path {fields[0]!r} is not in canonical form")
             entry = ChunkEntry(
-                path=decode_path(fields[0]),
-                plain_size=int(fields[1]),
+                path=path,
+                plain_size=_decimal(fields[1], "plain size", index + 1),
                 plain_sha256=fields[2],
-                payload_size=int(fields[3]),
+                payload_size=_decimal(fields[3], "payload size", index + 1),
                 payload_sha256=fields[4],
             )
         except ValueError as exc:

@@ -4,6 +4,10 @@ A payload is the stored form of one file, produced by applying the brick's
 codec chain in order. Chains always place encryption last, so the ciphertext
 layout is uniform: 12-byte random nonce, then ciphertext with the 16-byte
 GCM tag appended.
+
+Both directions stream: a file is read once, in reads of at most
+CHUNK_BYTES, and every digest and codec is fed from that one read, so
+memory stays flat whatever the file size.
 """
 
 from __future__ import annotations
@@ -11,22 +15,25 @@ from __future__ import annotations
 import hashlib
 import os
 import zlib
-from pathlib import Path
+from typing import Callable, Iterator, NamedTuple
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import hashes
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.kdf.pbkdf2 import PBKDF2HMAC
 
-from .errors import IntegrityError
-from .manifest import CODEC_AES_256_GCM, CODEC_DEFLATE, CODEC_NONE, KdfParams
+from .errors import ConfigError
+from .manifest import CODEC_DEFLATE, KdfParams, is_encrypted
 
 KEY_BYTES = 32
 NONCE_BYTES = 12
 TAG_BYTES = 16
 DEFLATE_LEVEL = 6
 
-_HASH_CHUNK = 1 << 20
+CHUNK_BYTES = 1 << 20
+
+# GCM encrypts at most 2^39 - 256 bits under one nonce (NIST SP 800-38D).
+GCM_MAX_BYTES = 2**36 - 32
 
 # Fixed test vector; refuse to run if the hash primitive is miscompiled.
 _SHA256_ABC = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
@@ -38,21 +45,6 @@ def self_test() -> None:
 
 
 self_test()
-
-
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def sha256_file(path: Path) -> tuple[str, int]:
-    """Stream a file; returns (hex digest, size in bytes)."""
-    digest = hashlib.sha256()
-    size = 0
-    with open(path, "rb") as handle:
-        while chunk := handle.read(_HASH_CHUNK):
-            digest.update(chunk)
-            size += len(chunk)
-    return digest.hexdigest(), size
 
 
 def derive_key(passphrase: str, kdf: KdfParams) -> bytes:
@@ -69,50 +61,264 @@ def new_salt() -> bytes:
     return os.urandom(16)
 
 
-def encode_payload(plain: bytes, chain: tuple[str, ...], key: bytes | None) -> bytes:
-    """Apply the codec chain in order to produce the stored payload."""
-    data = plain
-    for codec in chain:
-        if codec == CODEC_NONE:
-            pass
-        elif codec == CODEC_DEFLATE:
-            compressor = zlib.compressobj(DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
-            data = compressor.compress(data) + compressor.flush()
-        elif codec == CODEC_AES_256_GCM:
-            if key is None:
-                raise ValueError("codec chain encrypts but no key was derived")
-            nonce = os.urandom(NONCE_BYTES)
-            data = nonce + AESGCM(key).encrypt(nonce, data, None)
-        else:
-            raise ValueError(f"unknown codec {codec!r}")
-    return data
+def _read_chunks(fd: int, size: int) -> Iterator[bytes]:
+    """Yield the first `size` bytes of fd, each read capped at CHUNK_BYTES and at what is left.
+
+    Stops early if the file ends first; the caller's digests then show it.
+    """
+    left = size
+    while left > 0:
+        chunk = os.read(fd, min(CHUNK_BYTES, left))
+        if not chunk:
+            return
+        left -= len(chunk)
+        yield chunk
 
 
-def decode_payload(payload: bytes, chain: tuple[str, ...], key: bytes | None) -> bytes:
-    """Invert encode_payload; every defect surfaces as IntegrityError."""
-    data = payload
-    for codec in reversed(chain):
-        if codec == CODEC_NONE:
-            pass
-        elif codec == CODEC_DEFLATE:
-            try:
-                decompressor = zlib.decompressobj(-zlib.MAX_WBITS)
-                data = decompressor.decompress(data) + decompressor.flush()
-                if decompressor.unconsumed_tail or not decompressor.eof:
-                    raise IntegrityError("deflate stream is truncated")
-            except zlib.error as exc:
-                raise IntegrityError(f"deflate stream corrupt: {exc}") from None
-        elif codec == CODEC_AES_256_GCM:
+class _Counted:
+    """Counts and hashes bytes, then hands them to `write` if there is one."""
+
+    def __init__(self, write: Callable[[bytes], object] | None = None) -> None:
+        self.size = 0
+        self.hash = hashlib.sha256()
+        self._write = write
+
+    def feed(self, data: bytes) -> None:
+        self.size += len(data)
+        self.hash.update(data)
+        if self._write is not None:
+            self._write(data)
+
+
+# ---------- encode ----------
+
+class Encoded(NamedTuple):
+    """Sizes and digests of one packed file, in ChunkEntry's field order."""
+
+    plain_size: int
+    plain_sha256: str
+    payload_size: int
+    payload_sha256: str
+
+
+class _Seal:
+    """AES-256-GCM encryption stage: nonce, then ciphertext, then tag."""
+
+    def __init__(self, key: bytes, out: _Counted) -> None:
+        nonce = os.urandom(NONCE_BYTES)
+        self._encryptor = Cipher(algorithms.AES(key), modes.GCM(nonce)).encryptor()
+        self._sealed = 0
+        self._out = out
+        out.feed(nonce)
+
+    def feed(self, data: bytes) -> None:
+        self._sealed += len(data)
+        if self._sealed > GCM_MAX_BYTES:
+            raise ConfigError(
+                f"ciphertext over {GCM_MAX_BYTES:,} bytes exceeds AES-GCM's single-nonce limit"
+            )
+        self._out.feed(self._encryptor.update(data))
+
+    def finish(self) -> None:
+        self._out.feed(self._encryptor.finalize() + self._encryptor.tag)
+
+
+def encode_file(
+    fd: int,
+    size: int,
+    write: Callable[[bytes], object],
+    chain: tuple[str, ...],
+    key: bytes | None,
+) -> Encoded:
+    """Stream `size` bytes of fd through the codec chain into write().
+
+    The payload bytes equal the one-shot v1 transform of the same input:
+    deflate output does not depend on how its input is split.
+    """
+    plain = _Counted()
+    out = _Counted(write)
+    seal = None
+    if is_encrypted(chain):
+        if key is None:
+            raise ValueError("codec chain encrypts but no key was derived")
+        seal = _Seal(key, out)
+    stage = seal.feed if seal is not None else out.feed
+    compressor = None
+    if CODEC_DEFLATE in chain:
+        compressor = zlib.compressobj(DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
+    for chunk in _read_chunks(fd, size):
+        plain.feed(chunk)
+        stage(compressor.compress(chunk) if compressor is not None else chunk)
+    if compressor is not None:
+        stage(compressor.flush())
+    if seal is not None:
+        seal.finish()
+    return Encoded(plain.size, plain.hash.hexdigest(), out.size, out.hash.hexdigest())
+
+
+# ---------- decode ----------
+
+class Decoded(NamedTuple):
+    """What one read of a payload showed; the caller ranks the findings.
+
+    plain_size is exact unless overflow is set, in which case decoding
+    stopped as soon as the output passed the expected size.
+    """
+
+    payload_size: int
+    payload_sha256: str
+    plain_size: int
+    plain_sha256: str
+    error: str | None
+    overflow: bool
+
+
+class _Plain:
+    """The decoded output: counted, hashed and written until it passes `limit`."""
+
+    def __init__(self, limit: int, write: Callable[[bytes], object] | None) -> None:
+        self.limit = limit
+        self.overflow = False
+        self.out = _Counted(write)
+
+    def room(self) -> int:
+        """Bytes that may still arrive before the output has passed the limit."""
+        return self.limit + 1 - self.out.size
+
+    def feed(self, data: bytes) -> None:
+        if self.out.size + len(data) > self.limit:
+            self.overflow = True
+            self.out.size += len(data)
+        elif not self.overflow:
+            self.out.feed(data)
+
+
+class _Inflate:
+    """Deflate decoding stage.
+
+    Each output is bounded by CHUNK_BYTES and by one byte past the expected
+    size, so a forged stream cannot make it allocate or work without limit.
+    """
+
+    def __init__(self, plain: _Plain) -> None:
+        self._decompressor = zlib.decompressobj(-zlib.MAX_WBITS)
+        self._plain = plain
+        self.error: str | None = None
+
+    def feed(self, data: bytes) -> None:
+        z = self._decompressor
+        try:
+            while self.error is None and not self._plain.overflow:
+                room = min(CHUNK_BYTES, self._plain.room())
+                out = z.decompress(data, room)
+                if z.unused_data:
+                    self.error = "data after the end of the deflate stream"
+                    return
+                self._plain.feed(out)
+                data = z.unconsumed_tail
+                if z.eof or (not data and len(out) < room):
+                    return
+        except zlib.error as exc:
+            self.error = f"deflate stream corrupt: {exc}"
+
+    def finish(self) -> None:
+        if self.error is None and not self._plain.overflow and not self._decompressor.eof:
+            self.error = "deflate stream is truncated"
+
+
+class _Open:
+    """AES-256-GCM decryption stage over a payload of known size.
+
+    Bytes are routed by offset, so any read size works: the first
+    NONCE_BYTES are the nonce, the last TAG_BYTES the tag, the rest ciphertext.
+    """
+
+    def __init__(self, key: bytes, size: int, feed: Callable[[bytes], None]) -> None:
+        self._key = key
+        self._body_end = size - TAG_BYTES
+        self._offset = 0
+        self._nonce = bytearray()
+        self._tag = bytearray()
+        self._decryptor = None
+        self._feed = feed
+        self.error: str | None = None
+        if size < NONCE_BYTES + TAG_BYTES:
+            self.error = "ciphertext shorter than nonce plus tag"
+
+    def feed(self, data: bytes) -> None:
+        if self.error is not None:
+            return
+        start = self._offset
+        self._offset += len(data)
+        view = memoryview(data)
+
+        def part(first: int, end: int) -> memoryview:
+            return view[max(first - start, 0) : max(end - start, 0)]
+
+        self._nonce += part(0, NONCE_BYTES)
+        if self._decryptor is None and len(self._nonce) == NONCE_BYTES:
+            cipher = Cipher(algorithms.AES(self._key), modes.GCM(bytes(self._nonce)))
+            self._decryptor = cipher.decryptor()
+        body = part(NONCE_BYTES, self._body_end)
+        if body:
+            self._feed(self._decryptor.update(body))
+        self._tag += part(self._body_end, self._body_end + TAG_BYTES)
+
+    def finish(self) -> None:
+        if self.error is not None:
+            return
+        if len(self._tag) != TAG_BYTES:
+            self.error = "payload ended before its tag"
+            return
+        try:
+            self._feed(self._decryptor.finalize_with_tag(bytes(self._tag)))
+        except InvalidTag:
+            self.error = "authentication failed: wrong passphrase or corrupt payload"
+
+
+def decode_file(
+    fd: int,
+    size: int,
+    chain: tuple[str, ...] | None,
+    key: bytes | None,
+    plain_limit: int = 0,
+    write: Callable[[bytes], object] | None = None,
+) -> Decoded:
+    """Read `size` bytes of fd once: hash them and, unless chain is None, decode them.
+
+    Decoded bytes go to write() as they appear, before the tag and the
+    digests are checked; the caller must not trust them until it has read
+    the result. A GCM error is reported ahead of a deflate error, because
+    deflate saw unauthenticated bytes.
+    """
+    payload = _Counted()
+    plain = _Plain(plain_limit, write)
+    stages: list[_Inflate | _Open] = []  # outermost last
+    head = None
+    if chain is not None:
+        head = plain.feed
+        if CODEC_DEFLATE in chain:
+            stages.append(_Inflate(plain))
+            head = stages[-1].feed
+        if is_encrypted(chain):
             if key is None:
                 raise ValueError("codec chain encrypts but no key was derived")
-            if len(data) < NONCE_BYTES + TAG_BYTES:
-                raise IntegrityError("ciphertext shorter than nonce plus tag")
-            try:
-                data = AESGCM(key).decrypt(data[:NONCE_BYTES], data[NONCE_BYTES:], None)
-            except InvalidTag:
-                raise IntegrityError(
-                    "authentication failed: wrong passphrase or corrupt payload"
-                ) from None
-        else:
-            raise ValueError(f"unknown codec {codec!r}")
-    return data
+            stages.append(_Open(key, size, head))
+            head = stages[-1].feed
+
+    for chunk in _read_chunks(fd, size):
+        payload.feed(chunk)
+        if head is not None:
+            head(chunk)
+    stages.reverse()
+    for stage in stages:
+        stage.finish()
+    errors = [stage.error for stage in stages if stage.error is not None]
+    return Decoded(
+        payload_size=payload.size,
+        payload_sha256=payload.hash.hexdigest(),
+        plain_size=plain.out.size,
+        plain_sha256=plain.out.hash.hexdigest(),
+        error=errors[0] if errors else None,
+        overflow=plain.overflow,
+    )

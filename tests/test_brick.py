@@ -22,7 +22,7 @@ from brickkit.brick import (
     verify,
 )
 from brickkit.errors import ConfigError, IntegrityError
-from brickkit.manifest import MANIFEST_FILENAME, serialize_manifest
+from brickkit.manifest import MANIFEST_FILENAME, MAX_KDF_ITERATIONS, serialize_manifest
 from conftest import FAST_KDF_ITERATIONS, read_tree, write_random_tree
 
 CHAINS = [
@@ -146,6 +146,27 @@ def test_pack_passphrase_pairing(tmp_path):
         pack(source, tmp_path / "b1", codec_chain=("aes-256-gcm",))
     with pytest.raises(ConfigError, match="does not encrypt"):
         pack(source, tmp_path / "b2", codec_chain=("none",), passphrase="pointless")
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_is_a_config_error(tmp_path, workers):
+    brick_dir, _ = packed_brick(tmp_path)
+    with pytest.raises(ConfigError, match="workers"):
+        pack(tmp_path / "src", tmp_path / "b2", workers=workers)
+    with pytest.raises(ConfigError, match="workers"):
+        verify(brick_dir, workers=workers)
+    with pytest.raises(ConfigError, match="workers"):
+        unpack(brick_dir, tmp_path / "out", workers=workers)
+    assert not (tmp_path / "b2").exists() and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("iterations", [0, MAX_KDF_ITERATIONS + 1])
+def test_pack_refuses_iterations_a_manifest_may_not_carry(tmp_path, iterations):
+    with pytest.raises(ConfigError, match="iterations"):
+        pack(
+            make_source(tmp_path), tmp_path / "b", codec_chain=("aes-256-gcm",),
+            passphrase="sesame", kdf_iterations=iterations,
+        )
 
 
 def test_pack_rejects_unknown_chain(tmp_path):

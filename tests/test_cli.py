@@ -169,6 +169,20 @@ def test_unset_passphrase_variable_is_config_error(tmp_path, capsys, monkeypatch
     assert "BRICK_NO_SUCH_VAR" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--workers", "-1"], ["--workers", "0"], ["--codec", "aes-256-gcm", "--iterations", "0"]],
+    ids=["workers-1", "workers0", "iterations0"],
+)
+def test_pack_out_of_range_numbers_are_config_errors(tmp_path, capsys, monkeypatch, flags):
+    monkeypatch.setenv("BRICK_TEST_PASS", "pw")
+    argv = ["pack", str(make_tree(tmp_path)), str(tmp_path / "b"), *flags]
+    if "aes-256-gcm" in flags:
+        argv += ["--passphrase-env", "BRICK_TEST_PASS"]
+    assert main(argv) == 2
+    assert flags[-2].lstrip("-") in capsys.readouterr().err
+
+
 def test_verify_reports_bit_flip_with_path(tmp_path, capsys):
     source = make_tree(tmp_path)
     brick = tmp_path / "brick"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from brickkit.errors import ManifestError, UnsupportedVersionError
 from brickkit.manifest import (
+    MAX_KDF_ITERATIONS,
     ChunkEntry,
     KdfParams,
     Manifest,
@@ -319,3 +320,112 @@ def test_parse_rejects_non_utf8():
     data = serialize_manifest(manifest([entry("a")]))
     with pytest.raises(ManifestError):
         parse_manifest(corrupt(data, b"dataset: set", b"dataset: s\xff"))
+
+
+# ---------- one encoding per manifest ----------
+
+SHA_X = hashlib.sha256(b"x").hexdigest()
+SALT_HEX = bytes(range(16)).hex()
+
+
+def assemble(headers: list[str], entry_lines: list[str]) -> bytes:
+    """Manifest bytes with a correct entries digest, so only the spelling is on trial."""
+    head = "".join(f"{line}\n" for line in ["BRICK-MANIFEST v1", *headers, ""])
+    entries = "".join(f"{line}\n" for line in entry_lines).encode("utf-8")
+    digest = hashlib.sha256(entries).hexdigest()
+    return head.encode("utf-8") + entries + f"digest: {digest}\n".encode("ascii")
+
+
+def encrypted_headers(iterations: str = "1234", salt: str = SALT_HEX) -> list[str]:
+    return [
+        "dataset: set", "created: 2026-01-01T00:00:00Z", "codec: aes-256-gcm",
+        "kdf: pbkdf2-hmac-sha256", f"iterations: {iterations}", f"salt: {salt}",
+    ]
+
+
+def entry_line(path: str = "a", plain: str = "1", payload: str = "1") -> str:
+    return f"{path}\t{plain}\t{SHA_X}\t{payload}\t{SHA_X}"
+
+
+def test_assembled_canonical_manifest_round_trips():
+    data = assemble(encrypted_headers(), [entry_line("a"), entry_line("caf%C3%A9", "0", "10")])
+    assert serialize_manifest(parse_manifest(data)) == data
+
+
+NON_CANONICAL_DECIMALS = ["+1", "01", "00", "1_0", " 1", "1 ", "١", "-0", "0x1", ""]
+
+
+@pytest.mark.parametrize("spelling", NON_CANONICAL_DECIMALS)
+@pytest.mark.parametrize("field", ["plain", "payload"])
+def test_parse_rejects_non_canonical_sizes(spelling, field):
+    data = assemble(encrypted_headers(), [entry_line(**{field: spelling})])
+    with pytest.raises(ManifestError, match="canonical"):
+        parse_manifest(data)
+
+
+@pytest.mark.parametrize("spelling", NON_CANONICAL_DECIMALS)
+def test_parse_rejects_non_canonical_iterations(spelling):
+    with pytest.raises(ManifestError, match="canonical"):
+        parse_manifest(assemble(encrypted_headers(iterations=spelling), [entry_line()]))
+
+
+def test_parse_bounds_iterations():
+    accepted = parse_manifest(
+        assemble(encrypted_headers(iterations=str(MAX_KDF_ITERATIONS)), [entry_line()])
+    )
+    assert accepted.kdf.iterations == MAX_KDF_ITERATIONS
+    for iterations in (MAX_KDF_ITERATIONS + 1, 10**30, 0):
+        with pytest.raises(ManifestError, match="iterations"):
+            parse_manifest(assemble(encrypted_headers(iterations=str(iterations)), [entry_line()]))
+
+
+@pytest.mark.parametrize("salt", [SALT_HEX.upper(), SALT_HEX[:-2] + " 0f", SALT_HEX[:-2], SALT_HEX + "00"])
+def test_parse_rejects_non_canonical_salt(salt):
+    with pytest.raises(ManifestError, match="salt"):
+        parse_manifest(assemble(encrypted_headers(salt=salt), [entry_line()]))
+
+
+@pytest.mark.parametrize("path", ["%61", "caf%c3%a9", "cafe%CC%81", "x%2Ey"])
+def test_parse_rejects_non_canonical_paths(path):
+    with pytest.raises(ManifestError, match="canonical"):
+        parse_manifest(assemble(encrypted_headers(), [entry_line(path)]))
+
+
+def test_parse_requires_the_serialized_header_order():
+    headers = encrypted_headers()
+    for first, second in [(0, 1), (3, 5), (2, 4)]:
+        swapped = list(headers)
+        swapped[first], swapped[second] = swapped[second], swapped[first]
+        with pytest.raises(ManifestError, match="order"):
+            parse_manifest(assemble(swapped, [entry_line()]))
+
+
+_SPELLED_INTS = st.sampled_from(["0", "1", "7", "10", "1234", *NON_CANONICAL_DECIMALS])
+_SPELLED_PATHS = st.sampled_from(
+    ["a", "b/c", "caf%C3%A9", "caf%c3%a9", "cafe%CC%81", "%61", "x%25y", "x%y", "sp ace", "d/%2E"]
+)
+_SPELLED_SALTS = st.sampled_from([SALT_HEX, SALT_HEX.upper(), "00" * 16, "0" * 31, SALT_HEX + " "])
+
+
+@given(st.data())
+def test_accepted_manifest_bytes_are_canonical(data):
+    encrypted = data.draw(st.booleans())
+    label = data.draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=6))
+    headers = [f"dataset: {label}", "created: 2026-01-01T00:00:00Z"]
+    if encrypted:
+        headers += [
+            "codec: aes-256-gcm", "kdf: pbkdf2-hmac-sha256",
+            f"iterations: {data.draw(_SPELLED_INTS)}", f"salt: {data.draw(_SPELLED_SALTS)}",
+        ]
+    else:
+        headers.append(f"codec: {data.draw(st.sampled_from(['none', 'deflate', 'none ']))}")
+    if data.draw(st.booleans()):
+        headers = data.draw(st.permutations(headers))
+    paths = sorted(set(data.draw(st.lists(_SPELLED_PATHS, max_size=4))))
+    lines = [entry_line(p, data.draw(_SPELLED_INTS), data.draw(_SPELLED_INTS)) for p in paths]
+    raw = assemble(headers, lines)
+    try:
+        parsed = parse_manifest(raw)
+    except ManifestError:
+        return
+    assert serialize_manifest(parsed) == raw

@@ -1,0 +1,379 @@
+"""The single-pass entry pipeline: chunk boundaries, tamper findings, scratch files.
+
+The chunk size is patched down so that every boundary case (a read ending
+inside the nonce, the tag or the deflate stream) occurs with small files.
+Findings are compared with a whole-buffer reference decoder kept here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import resource
+import zlib
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
+from brickkit import payload
+from brickkit.brick import (
+    KIND_DECODE,
+    KIND_MISSING,
+    KIND_PAYLOAD_DIGEST,
+    KIND_PLAIN_DIGEST,
+    KIND_PLAIN_SIZE,
+    load_manifest,
+    pack,
+    unpack,
+    verify,
+)
+from brickkit.errors import ConfigError, IntegrityError
+from brickkit.manifest import MANIFEST_FILENAME, serialize_manifest
+from conftest import FAST_KDF_ITERATIONS, read_tree
+
+CHAINS = [
+    ("none",),
+    ("deflate",),
+    ("aes-256-gcm",),
+    ("deflate", "aes-256-gcm"),
+]
+CHAIN_IDS = [",".join(chain) for chain in CHAINS]
+PASSPHRASE = "sesame"
+
+
+def passphrase_for(chain):
+    return PASSPHRASE if "aes-256-gcm" in chain else None
+
+
+def do_pack(source, brick_dir, chain):
+    return pack(
+        source, brick_dir, codec_chain=chain, passphrase=passphrase_for(chain),
+        kdf_iterations=FAST_KDF_ITERATIONS,
+    )
+
+
+def body(size: int, seed: int) -> bytes:
+    """Half random, half repetitive, so deflate has real work at any size."""
+    noise = hashlib.shake_256(seed.to_bytes(4, "big")).digest(size // 2)
+    return noise + bytes(i % 7 for i in range(size - len(noise)))
+
+
+def one_shot_decode(data: bytes, chain, key) -> bytes:
+    """Whole-buffer v1 decoding of a sound payload."""
+    if "aes-256-gcm" in chain:
+        data = AESGCM(key).decrypt(data[: payload.NONCE_BYTES], data[payload.NONCE_BYTES :], None)
+    if "deflate" in chain:
+        data = zlib.decompress(data, -zlib.MAX_WBITS)
+    return data
+
+
+def reference_kind(data: bytes, entry, chain, key) -> str | None:
+    """The finding whole-buffer checks give, in the order the brick ranks them.
+
+    Two rules are newer than the whole-buffer decoder: inflating stops once
+    the output passes the manifest's plain size, and bytes after the end of
+    the deflate stream are a decode failure.
+    """
+    if hashlib.sha256(data).hexdigest() != entry.payload_sha256:
+        return KIND_PAYLOAD_DIGEST
+    if "aes-256-gcm" in chain:
+        if len(data) < payload.NONCE_BYTES + payload.TAG_BYTES:
+            return KIND_DECODE
+        try:
+            data = AESGCM(key).decrypt(data[: payload.NONCE_BYTES], data[payload.NONCE_BYTES :], None)
+        except InvalidTag:
+            return KIND_DECODE
+    if "deflate" in chain:
+        decompressor = zlib.decompressobj(-zlib.MAX_WBITS)
+        try:
+            data = decompressor.decompress(data, entry.plain_size + 1)
+        except zlib.error:
+            return KIND_DECODE
+        if len(data) <= entry.plain_size and (not decompressor.eof or decompressor.unused_data):
+            return KIND_DECODE
+    if len(data) != entry.plain_size:
+        return KIND_PLAIN_SIZE
+    if hashlib.sha256(data).hexdigest() != entry.plain_sha256:
+        return KIND_PLAIN_DIGEST
+    return None
+
+
+def reseal(brick_dir: Path, path: str, data: bytes, **fields) -> None:
+    """Store data as path's payload and make the manifest vouch for it."""
+    (brick_dir / path).write_bytes(data)
+    manifest = load_manifest(brick_dir)
+    entries = tuple(
+        replace(e, payload_size=len(data), payload_sha256=hashlib.sha256(data).hexdigest(), **fields)
+        if e.path == path else e
+        for e in manifest.entries
+    )
+    (brick_dir / MANIFEST_FILENAME).write_bytes(
+        serialize_manifest(replace(manifest, entries=entries))
+    )
+
+
+def kinds(report):
+    return [(f.path, f.kind) for f in report.findings]
+
+
+@pytest.fixture(params=[7, 4096], ids=["chunk7", "chunk4K"])
+def chunk(request, monkeypatch):
+    monkeypatch.setattr(payload, "CHUNK_BYTES", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("chain", CHAINS, ids=CHAIN_IDS)
+def test_round_trip_at_chunk_boundaries(tmp_path, chunk, chain):
+    sizes = [0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5]
+    source = tmp_path / "src"
+    source.mkdir()
+    for size in sizes:
+        (source / f"f{size:06d}").write_bytes(body(size, size))
+    brick_dir = tmp_path / "brick"
+    result = do_pack(source, brick_dir, chain)
+
+    key = None
+    if "aes-256-gcm" in chain:
+        key = payload.derive_key(PASSPHRASE, result.manifest.kdf)
+    for entry in result.manifest.entries:
+        stored = (brick_dir / entry.path).read_bytes()
+        assert one_shot_decode(stored, chain, key) == (source / entry.path).read_bytes()
+    passphrase = passphrase_for(chain)
+    report = verify(brick_dir, deep=True, passphrase=passphrase)
+    assert report.ok and report.bytes_checked == result.payload_bytes
+    restored = unpack(brick_dir, tmp_path / "out", passphrase=passphrase)
+    assert restored.bytes_written == sum(sizes)
+    assert read_tree(tmp_path / "out") == read_tree(source)
+
+
+def test_deflate_payload_does_not_depend_on_read_size(tmp_path, monkeypatch):
+    source = tmp_path / "src"
+    source.mkdir()
+    plain = body(50_000, 1)
+    (source / "f").write_bytes(plain)
+    compressor = zlib.compressobj(payload.DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
+    one_shot = compressor.compress(plain) + compressor.flush()
+    for size in (7, 4096, 12_345, 1 << 20):
+        monkeypatch.setattr(payload, "CHUNK_BYTES", size)
+        brick_dir = tmp_path / f"brick{size}"
+        do_pack(source, brick_dir, ("deflate",))
+        assert (brick_dir / "f").read_bytes() == one_shot
+
+
+@pytest.mark.parametrize("chain", CHAINS, ids=CHAIN_IDS)
+def test_every_byte_flip_gives_the_reference_finding(tmp_path, chunk, chain):
+    source = tmp_path / "src"
+    source.mkdir()
+    (source / "f").write_bytes(body(120, 3))
+    brick_dir = tmp_path / "brick"
+    result = do_pack(source, brick_dir, chain)
+    passphrase = passphrase_for(chain)
+    key = payload.derive_key(PASSPHRASE, result.manifest.kdf) if passphrase else None
+    pristine = (brick_dir / "f").read_bytes()
+
+    # Payload digest first: every flip is caught before any decoding.
+    for position in range(0, len(pristine), 37):
+        flipped = bytearray(pristine)
+        flipped[position] ^= 0x04
+        (brick_dir / "f").write_bytes(bytes(flipped))
+        assert kinds(verify(brick_dir, deep=True, passphrase=passphrase)) == [
+            ("f", KIND_PAYLOAD_DIGEST)
+        ]
+
+    # With the manifest resealed over the flipped bytes, decoding has to
+    # find the damage: nonce, ciphertext, tag or deflate stream.
+    expected_kinds = set()
+    for position in range(len(pristine)):
+        flipped = bytearray(pristine)
+        flipped[position] ^= 0x04
+        reseal(brick_dir, "f", bytes(flipped))
+        sealed = load_manifest(brick_dir).entries[0]
+        expected = reference_kind(bytes(flipped), sealed, chain, key)
+        expected_kinds.add(expected)
+        report = verify(brick_dir, deep=True, passphrase=passphrase)
+        assert kinds(report) == ([("f", expected)] if expected else []), f"flip at {position}"
+    # Deflate can shrug off a flip in the padding after its last block.
+    if "aes-256-gcm" in chain:
+        assert expected_kinds == {KIND_DECODE}
+    else:
+        assert KIND_DECODE in expected_kinds or chain == ("none",)
+        assert KIND_PLAIN_DIGEST in expected_kinds
+
+
+@pytest.mark.parametrize("chain", [("deflate",), ("deflate", "aes-256-gcm")], ids=str)
+def test_bytes_after_the_deflate_end_are_a_decode_failure(tmp_path, chunk, chain):
+    source = tmp_path / "src"
+    source.mkdir()
+    plain = body(500, 4)
+    (source / "f").write_bytes(plain)
+    brick_dir = tmp_path / "brick"
+    result = do_pack(source, brick_dir, chain)
+    compressor = zlib.compressobj(payload.DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
+    stream = compressor.compress(plain) + compressor.flush() + b"trailing"
+    if "aes-256-gcm" in chain:
+        key = payload.derive_key(PASSPHRASE, result.manifest.kdf)
+        nonce = os.urandom(payload.NONCE_BYTES)
+        stream = nonce + AESGCM(key).encrypt(nonce, stream, None)
+    reseal(brick_dir, "f", stream)
+    report = verify(brick_dir, deep=True, passphrase=passphrase_for(chain))
+    assert kinds(report) == [("f", KIND_DECODE)]
+    assert "after the end of the deflate stream" in report.findings[0].detail
+
+
+def test_inflate_stops_once_output_passes_the_manifest_size(tmp_path, chunk):
+    source = tmp_path / "src"
+    source.mkdir()
+    (source / "f").write_bytes(bytes(200_000))
+    brick_dir = tmp_path / "brick"
+    do_pack(source, brick_dir, ("deflate",))
+    reseal(brick_dir, "f", (brick_dir / "f").read_bytes(), plain_size=1000)
+    report = verify(brick_dir, deep=True)
+    assert kinds(report) == [("f", KIND_PLAIN_SIZE)]
+    assert "more than the 1000 bytes" in report.findings[0].detail
+    with pytest.raises(IntegrityError, match=KIND_PLAIN_SIZE):
+        unpack(brick_dir, tmp_path / "out")
+
+
+def test_damage_past_the_manifest_size_is_never_decoded(tmp_path, chunk):
+    source = tmp_path / "src"
+    source.mkdir()
+    plain = body(2000, 8)
+    (source / "f").write_bytes(plain)
+    brick_dir = tmp_path / "brick"
+    do_pack(source, brick_dir, ("deflate",))
+    compressor = zlib.compressobj(payload.DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
+    # A final block of the reserved type 3 follows 2000 good bytes.
+    forged = compressor.compress(plain) + compressor.flush(zlib.Z_FULL_FLUSH) + b"\xff\xff"
+    reseal(brick_dir, "f", forged, plain_size=100)
+    assert kinds(verify(brick_dir, deep=True)) == [("f", KIND_PLAIN_SIZE)]
+    reseal(brick_dir, "f", forged, plain_size=2000)
+    report = verify(brick_dir, deep=True)
+    assert kinds(report) == [("f", KIND_DECODE)]
+    assert "invalid block type" in report.findings[0].detail
+
+
+def test_wrong_key_beats_a_deflate_error(tmp_path, chunk):
+    source = tmp_path / "src"
+    source.mkdir()
+    (source / "f").write_bytes(body(5000, 5))
+    brick_dir = tmp_path / "brick"
+    do_pack(source, brick_dir, ("deflate", "aes-256-gcm"))
+    report = verify(brick_dir, deep=True, passphrase="not sesame")
+    assert kinds(report) == [("f", KIND_DECODE)]
+    assert "authentication failed" in report.findings[0].detail
+
+
+# ---------- unpack names a file only once it is proven ----------
+
+def leftovers(dest: Path) -> list[str]:
+    return sorted(p.relative_to(dest).as_posix() for p in dest.rglob("*"))
+
+
+@pytest.mark.parametrize(
+    "damage",
+    ["wrong-passphrase", "payload-digest", "plain-digest"],
+)
+def test_failed_unpack_leaves_no_scratch_file(tmp_path, chunk, damage):
+    source = tmp_path / "src"
+    (source / "deep" / "er").mkdir(parents=True)
+    (source / "deep" / "er" / "f").write_bytes(body(3000, 6))
+    chain = ("aes-256-gcm",) if damage == "wrong-passphrase" else ("none",)
+    brick_dir = tmp_path / "brick"
+    do_pack(source, brick_dir, chain)
+    passphrase = passphrase_for(chain)
+    stored = brick_dir / "deep" / "er" / "f"
+    if damage == "wrong-passphrase":
+        passphrase = "wrong"
+    elif damage == "payload-digest":
+        stored.write_bytes(b"X" + stored.read_bytes()[1:])
+    else:  # the payload is what the manifest says, the plaintext is not
+        reseal(brick_dir, "deep/er/f", b"X" + stored.read_bytes()[1:])
+    dest = tmp_path / "out"
+    with pytest.raises(IntegrityError, match="deep/er/f"):
+        unpack(brick_dir, dest, passphrase=passphrase)
+    assert leftovers(dest) == []
+
+
+def test_scratch_names_never_collide_with_the_tree(tmp_path, chunk):
+    source = tmp_path / "src"
+    # Sorted, entry i's first-choice scratch name is .brick-<i>.part in its
+    # directory: b's is the file at index 0, c's the directory at index 1,
+    # d/y's the file beside it.
+    files = {
+        ".brick-3.part": b"shaped like a scratch name",
+        ".brick-4.part/inner": b"a directory shaped like one",
+        "a": b"a",
+        "b": b"b",
+        "c": b"c",
+        "d/.brick-6.part": b"in a subdirectory",
+        "d/y": b"beside it",
+        "x": b"the file",
+        "x.part": b"its namesake",
+    }
+    for relative, data in files.items():
+        (source / relative).parent.mkdir(parents=True, exist_ok=True)
+        (source / relative).write_bytes(data)
+    brick_dir = tmp_path / "brick"
+    do_pack(source, brick_dir, ("deflate",))
+    unpack(brick_dir, tmp_path / "out")
+    assert read_tree(tmp_path / "out") == files
+    assert leftovers(tmp_path / "out") == sorted(set(files) | {".brick-4.part", "d"})
+
+
+def test_a_fifo_in_place_of_a_payload_is_missing_not_a_hang(tmp_path):
+    source = tmp_path / "src"
+    source.mkdir()
+    (source / "f").write_bytes(b"data")
+    brick_dir = tmp_path / "brick"
+    do_pack(source, brick_dir, ("none",))
+    (brick_dir / "f").unlink()
+    os.mkfifo(brick_dir / "f")
+    assert kinds(verify(brick_dir, deep=True)) == [("f", KIND_MISSING)]
+    with pytest.raises(IntegrityError, match=KIND_MISSING):
+        unpack(brick_dir, tmp_path / "out")
+
+
+# ---------- the GCM size ceiling ----------
+
+@pytest.mark.parametrize("chain", [("aes-256-gcm",), ("deflate", "aes-256-gcm")], ids=str)
+def test_gcm_ceiling_is_a_config_error(tmp_path, monkeypatch, chain):
+    source = tmp_path / "src"
+    source.mkdir()
+    noise = hashlib.shake_256(b"incompressible").digest(4000)
+    (source / "f").write_bytes(noise)
+    monkeypatch.setattr(payload, "CHUNK_BYTES", 512)
+    monkeypatch.setattr(payload, "GCM_MAX_BYTES", 3000)
+    with pytest.raises(ConfigError, match="^f: ciphertext over 3,000 bytes .* single-nonce limit"):
+        do_pack(source, tmp_path / "over", chain)
+    monkeypatch.setattr(payload, "GCM_MAX_BYTES", 5000)
+    do_pack(source, tmp_path / "under", chain)
+    assert verify(tmp_path / "under", deep=True, passphrase=PASSPHRASE).ok
+
+
+def test_gcm_ceiling_matches_the_standard():
+    assert payload.GCM_MAX_BYTES * 8 == 2**39 - 256
+
+
+# ---------- opt-in: one file past 2 GiB ----------
+
+@pytest.mark.skipif(os.environ.get("BRICKKIT_SLOW") != "1", reason="set BRICKKIT_SLOW=1")
+def test_sparse_file_past_2_gib_round_trips_in_flat_memory(tmp_path):
+    source = tmp_path / "src"
+    source.mkdir()
+    size = 2**31 + 4097
+    with open(source / "sparse.bin", "wb") as handle:
+        handle.write(b"head")
+        handle.truncate(size - 4)
+        handle.seek(size - 4)
+        handle.write(b"tail")
+    chain = ("deflate", "aes-256-gcm")
+    result = do_pack(source, tmp_path / "brick", chain)
+    assert result.plain_bytes == size
+    restored = unpack(tmp_path / "brick", tmp_path / "out", passphrase=PASSPHRASE)
+    assert restored.bytes_written == size
+    assert (tmp_path / "out" / "sparse.bin").stat().st_size == size
+    # A whole-buffer pipeline would hold at least the 2 GiB plaintext.
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 < 2**30
