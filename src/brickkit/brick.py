@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Iterable
 
 from . import payload as payload_mod
 from .errors import ConfigError, IntegrityError
@@ -179,13 +179,14 @@ def pack(
     key = _resolve_key(chain, passphrase, kdf)
 
     files = _collect_source(source_dir)
+    stored_paths = [stored for stored, _ in files]
+    directories = _directories(stored_paths)
+    made_brick_dir = not brick_dir.exists()
     brick_dir.mkdir(parents=True, exist_ok=True)
 
     def store(item: tuple[str, Path]) -> ChunkEntry:
         stored, real = item
-        out = brick_dir / stored
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with open(real, "rb", buffering=0) as source, open(out, "wb") as sink:
+        with open(real, "rb", buffering=0) as source, open(brick_dir / stored, "wb") as sink:
             size = os.fstat(source.fileno()).st_size
             try:
                 encoded = payload_mod.encode_file(source.fileno(), size, sink.write, chain, key)
@@ -193,17 +194,27 @@ def pack(
                 raise ConfigError(f"{stored}: {exc}") from None
         return ChunkEntry(stored, *encoded)
 
-    with ThreadPoolExecutor(max_workers=thread_count) as pool:
-        entries = sorted_entries(list(pool.map(store, files)))
+    try:
+        for directory in directories:
+            (brick_dir / directory).mkdir(exist_ok=True)
+        with ThreadPoolExecutor(max_workers=thread_count) as pool:
+            entries = sorted_entries(list(pool.map(store, files)))
 
-    manifest = Manifest(
-        dataset_name=dataset_name or source_dir.name,
-        created_at=datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        codec_chain=chain,
-        entries=entries,
-        kdf=kdf,
-    )
-    (brick_dir / MANIFEST_FILENAME).write_bytes(serialize_manifest(manifest))
+        manifest = Manifest(
+            dataset_name=dataset_name or source_dir.name,
+            created_at=datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+            codec_chain=chain,
+            entries=entries,
+            kdf=kdf,
+        )
+        (brick_dir / MANIFEST_FILENAME).write_bytes(serialize_manifest(manifest))
+    except BaseException:
+        # The destination was empty, so every file and directory here is ours.
+        _remove_partial(brick_dir, stored_paths + [MANIFEST_FILENAME], directories)
+        if made_brick_dir:
+            with contextlib.suppress(OSError):
+                brick_dir.rmdir()
+        raise
     return PackResult(
         manifest=manifest,
         brick_dir=brick_dir,
@@ -324,13 +335,22 @@ def verify(
     )
 
 
-def _directories(entries: tuple[ChunkEntry, ...]) -> list[str]:
-    """Every directory the entries need, each after its parent."""
+def _directories(paths: Iterable[str]) -> list[str]:
+    """Every directory the file paths need, each after its parent."""
     found: set[str] = set()
-    for entry in entries:
-        parts = entry.path.split("/")[:-1]
+    for path in paths:
+        parts = path.split("/")[:-1]
         found.update("/".join(parts[:depth]) for depth in range(1, len(parts) + 1))
     return sorted(found)
+
+
+def _remove_partial(root: Path, files: Iterable[str], directories: list[str]) -> None:
+    """Remove the named files under root, then each directory left empty, deepest first."""
+    for name in files:
+        (root / name).unlink(missing_ok=True)
+    for directory in reversed(directories):
+        with contextlib.suppress(OSError):
+            (root / directory).rmdir()  # only succeeds while empty
 
 
 def _scratch_names(entries: tuple[ChunkEntry, ...], directories: list[str]) -> list[str]:
@@ -393,7 +413,7 @@ def unpack(
     chain = manifest.codec_chain
     key = _resolve_key(chain, passphrase, manifest.kdf)
     dest_dir.mkdir(parents=True, exist_ok=True)
-    directories = _directories(manifest.entries)
+    directories = _directories(entry.path for entry in manifest.entries)
     jobs = list(zip(manifest.entries, _scratch_names(manifest.entries, directories)))
     failed = threading.Event()
 
@@ -413,9 +433,7 @@ def unpack(
         with ThreadPoolExecutor(max_workers=thread_count) as pool:
             written = list(pool.map(restore, jobs))
     except BaseException:
-        for directory in reversed(directories):
-            with contextlib.suppress(OSError):
-                (dest_dir / directory).rmdir()  # only succeeds while empty
+        _remove_partial(dest_dir, (), directories)
         raise
 
     return UnpackResult(

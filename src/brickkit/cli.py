@@ -332,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_io.add_argument(
         "--verify", action="store_true",
-        help="on reads, check blocks against the seeded write pattern",
+        help="on reads, check blocks against the seeded write pattern;"
+        " use the write's --block and --seed",
     )
     bench_io.add_argument("--csv", metavar="PATH", help="append the report as a CSV row")
     bench_io.set_defaults(func=_cmd_bench_io)

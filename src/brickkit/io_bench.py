@@ -5,8 +5,11 @@ threads claiming offsets from one shared stream, so a depth-2 64 KB
 sequential run and a depth-1 8 KB random run exercise a drive the same
 way the classic SQL-style disk benchmarks did.
 
-Striped runs address one logical byte stream across N targets RAID0
-style: chunk i lands on target (i mod N) at offset (i div N) x unit.
+Every run is laid out by one chunk map, chunk index to (target, offset).
+Plain runs fill the targets one after another: with S blocks per target,
+chunk i lands on target (i div S) at offset (i mod S) x block. Striped
+runs address one logical byte stream across N targets RAID0 style: chunk
+i lands on target (i mod N) at offset (i div N) x unit.
 
 All sizes are plain bytes. Reported mbps is 10^6 bytes per second.
 """
@@ -23,6 +26,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .errors import ConfigError, IntegrityError
 
@@ -185,8 +189,11 @@ class BenchReport:
 def fill_block(seed: int, target_index: int, offset: int, size: int) -> bytes:
     """Deterministic block content for (seed, target, offset).
 
-    Content depends on position, not issue order, so any read of a fully
-    written region can be verified regardless of access pattern.
+    Content is keyed on the block's start offset, not on issue order, so a
+    read of a fully written region verifies under any access pattern, but
+    only with the write's block size and seed: a read with another block
+    size starts its blocks at offsets the write did not key, and reports a
+    mismatch on healthy data.
     """
     unit = hashlib.sha256(
         b"brickkit-io"
@@ -235,13 +242,26 @@ class _Reservoir:
 class _WorkStream:
     """Shared claim point: hands out (target, offset) pairs one at a time.
 
-    Claims happen under one lock, so the claimed sequence equals the
-    generator's order exactly, and the in-flight counter's high-water mark
-    is an upper bound witness for the depth contract.
+    A run's layout is its chunk map: chunks in one pass and place(i), the
+    (target, offset) of chunk i. Sequential runs walk the chunks in order,
+    pass after pass; random runs draw each chunk from a generator seeded
+    with rng_seed. Claims happen under one lock, so the claimed sequence
+    is reproducible from the seed, and the in-flight counter's high-water
+    mark is an upper bound witness for the depth contract.
     """
 
-    def __init__(self, pairs, limit: int | None, deadline: float | None, record: bool):
-        self._pairs = pairs
+    def __init__(
+        self,
+        spec: BenchSpec,
+        chunks: int,
+        place: Callable[[int], tuple[int, int]],
+        limit: int | None,
+        deadline: float | None,
+        record: bool,
+    ):
+        self._chunks = chunks
+        self._place = place
+        self._rng = random.Random(spec.rng_seed) if spec.pattern == PATTERN_RANDOM else None
         self._remaining = limit
         self._deadline = deadline
         self._recorded: list[tuple[int, int]] | None = [] if record else None
@@ -258,7 +278,10 @@ class _WorkStream:
                 self._remaining -= 1
             if self._deadline is not None and time.perf_counter() >= self._deadline:
                 return None
-            pair = next(self._pairs)
+            if self._rng is None:
+                pair = self._place(self.claimed % self._chunks)
+            else:
+                pair = self._place(self._rng.randrange(self._chunks))
             if self._recorded is not None:
                 self._recorded.append(pair)
             self.claimed += 1
@@ -280,41 +303,6 @@ class _WorkStream:
         if self._recorded is None:
             return None
         return tuple(self._recorded)
-
-
-def _offset_pairs(spec: BenchSpec, stripe: StripeSet | None):
-    """Infinite (target, offset) stream for the configured pattern."""
-    rng = random.Random(spec.rng_seed)
-    if stripe is not None:
-        chunks = spec.target_bytes // spec.block_bytes
-        index = 0
-        while True:
-            if spec.pattern == PATTERN_SEQUENTIAL:
-                yield stripe_map(stripe, index % chunks)
-                index += 1
-            else:
-                yield stripe_map(stripe, rng.randrange(chunks))
-    else:
-        slots = spec.slots_per_target
-        count = len(spec.targets)
-        index = 0
-        while True:
-            if spec.pattern == PATTERN_SEQUENTIAL:
-                target, slot = divmod(index, slots)
-                yield target % count, slot * spec.block_bytes
-                index += 1
-            else:
-                target, slot = divmod(rng.randrange(count * slots), slots)
-                yield target, slot * spec.block_bytes
-
-
-def _required_size(spec: BenchSpec, stripe: StripeSet | None) -> int:
-    """Bytes each target file must provide."""
-    if stripe is None:
-        return spec.slots_per_target * spec.block_bytes
-    chunks = spec.target_bytes // spec.block_bytes
-    rows = math.ceil(chunks / len(stripe.targets))
-    return rows * stripe.stripe_unit_bytes
 
 
 def _open_targets(spec: BenchSpec, size: int) -> tuple[list[int], bool]:
@@ -387,45 +375,44 @@ def _one_io(
 ) -> None:
     if spec.op == OP_WRITE:
         buffer[:] = fill_block(spec.rng_seed, target, offset, spec.block_bytes)
-        started = time.perf_counter()
-        written = os.pwritev(fds[target], [buffer], offset)
-        reservoir.add((time.perf_counter() - started) * 1e6)
-        if written != spec.block_bytes:
-            raise OSError(f"short write on {spec.targets[target]} at {offset}")
-    else:
-        started = time.perf_counter()
-        got = os.preadv(fds[target], [buffer], offset)
-        reservoir.add((time.perf_counter() - started) * 1e6)
-        if got != spec.block_bytes:
-            raise OSError(f"short read on {spec.targets[target]} at {offset}")
-        if spec.verify_pattern:
-            expected = fill_block(spec.rng_seed, target, offset, spec.block_bytes)
-            if buffer[: spec.block_bytes] != expected:
-                position = next(
-                    i for i in range(spec.block_bytes) if buffer[i] != expected[i]
-                )
-                raise IntegrityError(
-                    f"pattern mismatch on {spec.targets[target]}"
-                    f" at byte {offset + position}"
-                )
+    transfer = os.pwritev if spec.op == OP_WRITE else os.preadv
+    started = time.perf_counter()
+    moved = transfer(fds[target], [buffer], offset)
+    reservoir.add((time.perf_counter() - started) * 1e6)
+    if moved != spec.block_bytes:
+        raise OSError(f"short {spec.op} on {spec.targets[target]} at {offset}")
+    if spec.verify_pattern:
+        expected = fill_block(spec.rng_seed, target, offset, spec.block_bytes)
+        if buffer[: spec.block_bytes] != expected:
+            position = next(
+                i for i in range(spec.block_bytes) if buffer[i] != expected[i]
+            )
+            raise IntegrityError(
+                f"pattern mismatch on {spec.targets[target]}"
+                f" at byte {offset + position}"
+            )
 
 
-def _execute(spec: BenchSpec, stripe: StripeSet | None, record_offsets: bool) -> BenchReport:
-    size = _required_size(spec, stripe)
-    fds, bypass = _open_targets(spec, size)
+def _execute(
+    spec: BenchSpec,
+    chunks: int,
+    place: Callable[[int], tuple[int, int]],
+    record_offsets: bool,
+) -> BenchReport:
+    """Run spec over the chunk map: chunks per pass, place(i) -> (target, offset).
+
+    The last chunk has the highest offset in every layout, so it sets the
+    size each target must provide.
+    """
+    fds, bypass = _open_targets(spec, place(chunks - 1)[1] + spec.block_bytes)
     try:
         if spec.pass_count is not None:
-            per_pass = (
-                spec.target_bytes // spec.block_bytes
-                if stripe is not None
-                else spec.slots_per_target * len(spec.targets)
-            )
-            limit, deadline = spec.pass_count * per_pass, None
+            limit, deadline = spec.pass_count * chunks, None
         else:
             limit, deadline = None, time.perf_counter() + spec.duration_seconds
 
         reservoir = _Reservoir(spec.rng_seed)
-        stream = _WorkStream(_offset_pairs(spec, stripe), limit, deadline, record_offsets)
+        stream = _WorkStream(spec, chunks, place, limit, deadline, record_offsets)
         started = time.perf_counter()
         with ThreadPoolExecutor(max_workers=spec.queue_depth) as pool:
             futures = [
@@ -456,7 +443,13 @@ def _execute(spec: BenchSpec, stripe: StripeSet | None, record_offsets: bool) ->
 
 def run_io_bench(spec: BenchSpec, record_offsets: bool = False) -> BenchReport:
     """Run a single-file (or round-robin multi-file) bench."""
-    return _execute(spec, None, record_offsets)
+    slots = spec.slots_per_target
+
+    def place(chunk: int) -> tuple[int, int]:
+        target, slot = divmod(chunk, slots)
+        return target, slot * spec.block_bytes
+
+    return _execute(spec, slots * len(spec.targets), place, record_offsets)
 
 
 def run_stripe_bench(
@@ -475,4 +468,5 @@ def run_stripe_bench(
         sizes = {os.stat(target).st_size for target in stripe.targets}
         if len(sizes) > 1:
             raise ConfigError(f"stripe targets have differing sizes {sorted(sizes)}")
-    return _execute(spec, stripe, record_offsets)
+    chunks = spec.target_bytes // spec.block_bytes
+    return _execute(spec, chunks, lambda chunk: stripe_map(stripe, chunk), record_offsets)

@@ -319,7 +319,9 @@ def parse_manifest(data: bytes) -> Manifest:
     declared_digest = None
     while index < len(raw_lines):
         line = text(index)
-        if line.startswith("digest: "):
+        # Entry lines carry four tabs and a path never holds a raw tab, so
+        # an entry for a file named "digest: x" is not the digest line.
+        if line.startswith("digest: ") and "\t" not in line:
             declared_digest = line.removeprefix("digest: ")
             if index != len(raw_lines) - 1:
                 raise _fail(index + 2, "content after the digest line")

@@ -15,6 +15,8 @@ the first corrupted byte.
 Throughput is reported in 10^6 BYTES per second; the bits figure is
 derived as exactly 8 times that and shown alongside, because confusing
 the two units is the classic way to misjudge a transfer by a factor of 8.
+cpu_percent is the CPU time of the thread that ran that end, so the two
+ends of a loopback run in one process each count only their own work.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ TRAILER = struct.Struct(">Q")
 DEFAULT_RECORD_BYTES = 65_536
 MAX_RECORD_BYTES = 8 * 1024 * 1024
 _RECV_CHUNK = 1 << 20
+# A sender blocked this long in one record's send or in the wait for the
+# trailer gives up: the receiver has stopped reading or answering, and
+# without a bound the run never ends.
+SEND_STALL_SECONDS = 30.0
 _PATTERN = bytes(range(256))
 
 
@@ -153,7 +159,7 @@ def serve(
                 raise ProtocolError(f"unsupported protocol version {version}")
 
             total = 0
-            cpu_start = time.process_time()
+            cpu_start = time.thread_time()
             started = time.perf_counter()
             while True:
                 chunk = conn.recv(_RECV_CHUNK)
@@ -163,7 +169,7 @@ def serve(
                     _check_pattern(chunk, total)
                 total += len(chunk)
             elapsed = max(time.perf_counter() - started, 1e-9)
-            cpu_used = time.process_time() - cpu_start
+            cpu_used = time.thread_time() - cpu_start
             conn.sendall(TRAILER.pack(total))
 
     return NetReport(
@@ -187,19 +193,26 @@ def send(spec: NetSpec) -> NetReport:
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as conn:
         conn.connect((spec.host, spec.port))
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn.sendall(HANDSHAKE.pack(MAGIC, VERSION, spec.record_bytes, spec.duration_ms))
+        conn.settimeout(SEND_STALL_SECONDS)
+        try:
+            conn.sendall(HANDSHAKE.pack(MAGIC, VERSION, spec.record_bytes, spec.duration_ms))
 
-        total = 0
-        deadline_clock = spec.duration_ms / 1000.0
-        cpu_start = time.process_time()
-        started = time.perf_counter()
-        while time.perf_counter() - started < deadline_clock:
-            conn.sendall(_pattern_record(total, spec.record_bytes))
-            total += spec.record_bytes
-        elapsed = max(time.perf_counter() - started, 1e-9)
-        cpu_used = time.process_time() - cpu_start
-        conn.shutdown(socket.SHUT_WR)
-        (echoed,) = TRAILER.unpack(_recv_exactly(conn, TRAILER.size, "trailer"))
+            total = 0
+            deadline_clock = spec.duration_ms / 1000.0
+            cpu_start = time.thread_time()
+            started = time.perf_counter()
+            while time.perf_counter() - started < deadline_clock:
+                conn.sendall(_pattern_record(total, spec.record_bytes))
+                total += spec.record_bytes
+            elapsed = max(time.perf_counter() - started, 1e-9)
+            cpu_used = time.thread_time() - cpu_start
+            conn.shutdown(socket.SHUT_WR)
+            (echoed,) = TRAILER.unpack(_recv_exactly(conn, TRAILER.size, "trailer"))
+        except socket.timeout:
+            raise ProtocolError(
+                "receiver stalled: a send or the trailer took over"
+                f" {SEND_STALL_SECONDS:g} s"
+            ) from None
 
     if echoed != total:
         raise IntegrityError(

@@ -197,6 +197,17 @@ def test_verified_read_wrong_seed_fails(tmp_path):
         run_io_bench(spec_for(tmp_path, op="read", verify_pattern=True, rng_seed=8))
 
 
+def test_random_verified_read_after_sequential_write_passes(tmp_path):
+    run_io_bench(spec_for(tmp_path, block_bytes=8 * KB, rng_seed=5))
+    read_spec = spec_for(
+        tmp_path, op="read", pattern="random", block_bytes=8 * KB,
+        verify_pattern=True, rng_seed=5, pass_count=2,
+    )
+    report = run_io_bench(read_spec, record_offsets=True)
+    assert report.io_count == 2 * 512
+    assert len(set(report.offsets)) > 256  # the draws really do wander
+
+
 def test_read_needs_prewritten_bytes(tmp_path):
     (tmp_path / "disk.bin").write_bytes(b"\0" * KB)
     with pytest.raises(ConfigError, match="write pass first"):

@@ -307,6 +307,15 @@ def test_parse_rejects_content_after_digest():
         parse_manifest(data + b"trailing\n")
 
 
+def test_entry_named_like_the_digest_line_round_trips():
+    m = manifest([entry("digest: x"), entry("digest: y/digest: z")])
+    data = serialize_manifest(m)
+    assert b"\ndigest: x\t" in data
+    assert parse_manifest(data) == m
+    with pytest.raises(ManifestError, match="after the digest"):
+        parse_manifest(data + b"digest: x\n")
+
+
 def test_parse_error_carries_line_number():
     data = serialize_manifest(manifest([entry("a")]))
     broken = corrupt(data, b"created: 2026-01-01T00:00:00Z\n", b"created \n")

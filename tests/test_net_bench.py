@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from brickkit import net_bench
 from brickkit.errors import ConfigError, IntegrityError, ProtocolError
 from brickkit.net_bench import (
     HANDSHAKE,
@@ -259,6 +260,50 @@ def test_sender_detects_receiver_hangup_before_trailer():
     with pytest.raises(ProtocolError, match="mid-trailer"):
         send(spec)
     thread.join(timeout=10.0)
+
+
+def test_sender_gives_up_on_a_stalled_receiver(monkeypatch):
+    monkeypatch.setattr(net_bench, "SEND_STALL_SECONDS", 0.5)
+    ports: queue.Queue[int] = queue.Queue()
+    release = threading.Event()
+
+    def stalled_receiver():
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as listener:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            ports.put(listener.getsockname()[1])
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(10.0)
+                conn.recv(HANDSHAKE.size, socket.MSG_WAITALL)
+                release.wait(timeout=30.0)  # never read again until the test ends
+
+    receiver = threading.Thread(target=stalled_receiver, daemon=True)
+    receiver.start()
+    port = ports.get(timeout=10.0)
+    outcome: dict[str, BaseException] = {}
+
+    def sender():
+        spec = NetSpec(
+            role="send", host="127.0.0.1", port=port,
+            record_bytes=1 << 20, duration_ms=30_000,
+        )
+        try:
+            send(spec)
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=sender, daemon=True)
+    thread.start()
+    thread.join(timeout=10.0)
+    release.set()
+    stalled = thread.is_alive()
+    thread.join(timeout=10.0)
+    receiver.join(timeout=10.0)
+    assert not stalled, "send() still blocked on a receiver that stopped reading"
+    assert isinstance(outcome.get("error"), ProtocolError)
+    assert "stalled" in str(outcome["error"])
 
 
 def test_handshake_layout_is_frozen():

@@ -353,6 +353,41 @@ def test_gcm_ceiling_is_a_config_error(tmp_path, monkeypatch, chain):
     assert verify(tmp_path / "under", deep=True, passphrase=PASSPHRASE).ok
 
 
+@pytest.mark.parametrize("precreated", [False, True], ids=["new-dest", "empty-dest"])
+def test_failed_pack_leaves_no_half_written_brick(tmp_path, monkeypatch, precreated):
+    source = tmp_path / "src"
+    (source / "deep" / "er").mkdir(parents=True)
+    (source / "a.txt").write_bytes(b"small")
+    (source / "deep" / "er" / "b.txt").write_bytes(b"also small")
+    (source / "deep" / "z.bin").write_bytes(hashlib.shake_256(b"incompressible").digest(4000))
+    destination = tmp_path / "brick"
+    if precreated:
+        destination.mkdir()
+    chain = ("aes-256-gcm",)
+    monkeypatch.setattr(payload, "CHUNK_BYTES", 512)
+    monkeypatch.setattr(payload, "GCM_MAX_BYTES", 3000)
+    with pytest.raises(ConfigError, match="^deep/z.bin: ciphertext over"):
+        do_pack(source, destination, chain)
+    assert destination.exists() == precreated
+    if precreated:
+        assert list(destination.iterdir()) == []
+    monkeypatch.setattr(payload, "GCM_MAX_BYTES", 5000)
+    do_pack(source, destination, chain)
+    assert verify(destination, deep=True, passphrase=PASSPHRASE).ok
+
+
+@pytest.mark.parametrize("chain", CHAINS, ids=CHAIN_IDS)
+def test_files_named_like_the_digest_line_round_trip(tmp_path, chain):
+    source = tmp_path / "src"
+    (source / "digest: y").mkdir(parents=True)
+    (source / "digest: x").write_bytes(b"first")
+    (source / "digest: y" / "digest: z").write_bytes(b"second")
+    do_pack(source, tmp_path / "brick", chain)
+    assert verify(tmp_path / "brick", deep=True, passphrase=passphrase_for(chain)).ok
+    unpack(tmp_path / "brick", tmp_path / "out", passphrase=passphrase_for(chain))
+    assert read_tree(tmp_path / "out") == read_tree(source)
+
+
 def test_gcm_ceiling_matches_the_standard():
     assert payload.GCM_MAX_BYTES * 8 == 2**39 - 256
 
