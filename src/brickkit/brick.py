@@ -13,15 +13,16 @@ bytes are recoverable (authentication, decompression, plaintext digest).
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import stat
 import threading
 import unicodedata
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import BinaryIO, Iterable
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import payload as payload_mod
 from .errors import ConfigError, IntegrityError
@@ -55,6 +56,8 @@ class PackResult:
     brick_dir: Path
     plain_bytes: int
     payload_bytes: int
+    # Directories with no file below them; a v1 brick cannot record them.
+    empty_dirs: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -97,17 +100,28 @@ def _require_empty_dir(target: Path, what: str) -> None:
             raise ConfigError(f"{what} {target} is not empty")
 
 
-def _collect_source(source_dir: Path) -> list[tuple[str, Path]]:
-    """Map the tree to (stored path, real path), enforcing what a brick can hold."""
-    found: list[tuple[str, Path]] = []
+def _walk(root: str, prefix: str = "") -> Iterator[tuple[str, os.DirEntry]]:
+    """(relative path, entry) for each entry below root, sorted; symlinks are not followed."""
+    with os.scandir(root) as listing:
+        children = sorted(listing, key=lambda child: child.name)
+    for child in children:
+        yield prefix + child.name, child
+        if child.is_dir(follow_symlinks=False):
+            yield from _walk(child.path, f"{prefix}{child.name}/")
+
+
+def _collect_source(source_dir: Path) -> tuple[list[tuple[str, str, int]], list[str]]:
+    """Map the tree's files to (stored path, real path, size), and list its directories."""
+    found: list[tuple[str, str, int]] = []
+    directories: list[str] = []
     seen: dict[str, str] = {}
-    for real in sorted(source_dir.rglob("*")):
-        relative = real.relative_to(source_dir).as_posix()
-        if real.is_symlink() or not (real.is_file() or real.is_dir()):
-            raise ConfigError(f"{relative}: only regular files can be packed")
-        if real.is_dir():
-            continue
+    for relative, child in _walk(str(source_dir)):
         stored = unicodedata.normalize("NFC", relative)
+        if child.is_dir(follow_symlinks=False):
+            directories.append(stored)
+            continue
+        if not child.is_file(follow_symlinks=False):
+            raise ConfigError(f"{relative}: only regular files can be packed")
         try:
             check_relative_path(stored)
         except ValueError as exc:
@@ -119,8 +133,8 @@ def _collect_source(source_dir: Path) -> list[tuple[str, Path]]:
                 f"{relative!r} and {seen[stored]!r} normalize to the same stored path"
             )
         seen[stored] = relative
-        found.append((stored, real))
-    return found
+        found.append((stored, child.path, child.stat(follow_symlinks=False).st_size))
+    return found, directories
 
 
 def _resolve_key(
@@ -141,6 +155,40 @@ def _worker_count(workers: int | None) -> int:
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     return workers
+
+
+def _run_entries(
+    jobs: Sequence[Any], size: Callable[[Any], int], work: Callable[[Any], Any], workers: int
+) -> list[Any]:
+    """Run work(job) for every job and return the results in job order.
+
+    Pack, verify and unpack share this rule: a job whose file is under
+    payload.CHUNK_BYTES runs inline, where a hand-off costs more than the
+    work; larger jobs go to a pool of `workers` threads, where hashing, zlib
+    and file IO release the GIL. Once a job raises, no further job starts.
+    """
+    stop = threading.Event()
+
+    def run(job: Any) -> Any:
+        if stop.is_set():
+            return None
+        try:
+            return work(job)
+        except BaseException:
+            stop.set()
+            raise
+
+    results: list[Any] = []
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            for job in jobs:
+                if stop.is_set():
+                    break
+                pooled = workers > 1 and size(job) >= payload_mod.CHUNK_BYTES
+                results.append(pool.submit(run, job) if pooled else run(job))
+            return [r.result() if isinstance(r, Future) else r for r in results]
+        finally:
+            stop.set()  # an interrupt must not leave queued jobs to start
 
 
 def pack(
@@ -178,15 +226,16 @@ def pack(
         raise ConfigError("passphrase provided but the codec chain does not encrypt")
     key = _resolve_key(chain, passphrase, kdf)
 
-    files = _collect_source(source_dir)
-    stored_paths = [stored for stored, _ in files]
+    files, all_directories = _collect_source(source_dir)
+    stored_paths = [stored for stored, _, _ in files]
     directories = _directories(stored_paths)
+    empty_dirs = tuple(sorted(set(all_directories) - set(directories)))
     made_brick_dir = not brick_dir.exists()
     brick_dir.mkdir(parents=True, exist_ok=True)
 
-    def store(item: tuple[str, Path]) -> ChunkEntry:
-        stored, real = item
-        with open(real, "rb", buffering=0) as source, open(brick_dir / stored, "wb") as sink:
+    def store(item: tuple[str, str, int]) -> ChunkEntry:
+        stored, real, _ = item
+        with open(real, "rb", buffering=0) as source, open(f"{brick_dir}/{stored}", "wb") as sink:
             size = os.fstat(source.fileno()).st_size
             try:
                 encoded = payload_mod.encode_file(source.fileno(), size, sink.write, chain, key)
@@ -197,8 +246,7 @@ def pack(
     try:
         for directory in directories:
             (brick_dir / directory).mkdir(exist_ok=True)
-        with ThreadPoolExecutor(max_workers=thread_count) as pool:
-            entries = sorted_entries(list(pool.map(store, files)))
+        entries = sorted_entries(_run_entries(files, lambda item: item[2], store, thread_count))
 
         manifest = Manifest(
             dataset_name=dataset_name or source_dir.name,
@@ -220,6 +268,7 @@ def pack(
         brick_dir=brick_dir,
         plain_bytes=sum(entry.plain_size for entry in entries),
         payload_bytes=sum(entry.payload_size for entry in entries),
+        empty_dirs=empty_dirs,
     )
 
 
@@ -228,29 +277,6 @@ def load_manifest(brick_dir: Path) -> Manifest:
     if not path.is_file():
         raise IntegrityError(f"{brick_dir} has no {MANIFEST_FILENAME}; not a brick")
     return parse_manifest(path.read_bytes())
-
-
-def _nonblocking(path: str, flags: int) -> int:
-    # A FIFO planted in a brick must not block the open; fstat then rejects it.
-    return os.open(path, flags | os.O_NONBLOCK)
-
-
-def _open_payload(brick_dir: Path, entry: ChunkEntry) -> tuple[BinaryIO | None, Finding | None]:
-    """Open an entry's payload, or say why it cannot be the payload the manifest lists."""
-    try:
-        source = open(brick_dir / entry.path, "rb", buffering=0, opener=_nonblocking)
-    except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
-        return None, Finding(entry.path, KIND_MISSING, "payload file not found")
-    info = os.fstat(source.fileno())
-    if not stat.S_ISREG(info.st_mode):
-        finding = Finding(entry.path, KIND_MISSING, "payload file not found")
-    elif info.st_size != entry.payload_size:
-        detail = f"payload is {info.st_size} bytes, manifest says {entry.payload_size}"
-        finding = Finding(entry.path, KIND_SIZE, detail)
-    else:
-        return source, None
-    source.close()
-    return None, finding
 
 
 def _judge(entry: ChunkEntry, decoded: payload_mod.Decoded, deep: bool) -> Finding | None:
@@ -273,28 +299,35 @@ def _judge(entry: ChunkEntry, decoded: payload_mod.Decoded, deep: bool) -> Findi
 
 
 def _check_entry(
-    brick_dir: Path,
-    entry: ChunkEntry,
-    deep: bool,
-    chain: tuple[str, ...],
-    key: bytes | None,
+    root: str, entry: ChunkEntry, deep: bool, chain: tuple[str, ...], key: bytes | None,
+    write: Callable[[bytes], object] | None = None,
 ) -> tuple[Finding | None, int]:
-    """Most precise single finding for one entry, plus bytes read."""
-    source, finding = _open_payload(brick_dir, entry)
-    if source is None:
-        return finding, 0
-    with source:
+    """Most precise single finding for one entry, plus bytes read.
+
+    A deep check hands the decoded bytes to write() as they appear.
+    """
+    try:
+        # A FIFO planted in a brick must not block the open; fstat then rejects it.
+        fd = os.open(f"{root}/{entry.path}", os.O_RDONLY | os.O_NONBLOCK)
+    except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
+        return Finding(entry.path, KIND_MISSING, "payload file not found"), 0
+    try:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode):
+            return Finding(entry.path, KIND_MISSING, "payload file not found"), 0
+        if info.st_size != entry.payload_size:
+            detail = f"payload is {info.st_size} bytes, manifest says {entry.payload_size}"
+            return Finding(entry.path, KIND_SIZE, detail), 0
         decoded = payload_mod.decode_file(
-            source.fileno(), entry.payload_size, chain if deep else None, key, entry.plain_size
+            fd, entry.payload_size, chain if deep else None, key, entry.plain_size, write
         )
+    finally:
+        os.close(fd)
     return _judge(entry, decoded, deep), decoded.payload_size
 
 
 def verify(
-    brick_dir: Path,
-    deep: bool = False,
-    passphrase: str | None = None,
-    workers: int | None = None,
+    brick_dir: Path, deep: bool = False, passphrase: str | None = None, workers: int | None = None
 ) -> VerifyReport:
     """Check a brick against its manifest; never raises for per-file defects.
 
@@ -303,28 +336,18 @@ def verify(
     brick_dir = Path(brick_dir)
     thread_count = _worker_count(workers)
     manifest = load_manifest(brick_dir)
-    key = None
-    if deep:
-        key = _resolve_key(manifest.codec_chain, passphrase, manifest.kdf)
-
-    def check(entry: ChunkEntry) -> tuple[Finding | None, int]:
-        return _check_entry(brick_dir, entry, deep, manifest.codec_chain, key)
-
-    with ThreadPoolExecutor(max_workers=thread_count) as pool:
-        results = list(pool.map(check, manifest.entries))
-
+    key = _resolve_key(manifest.codec_chain, passphrase, manifest.kdf) if deep else None
+    root = str(brick_dir)
+    check = functools.partial(_check_entry, root, deep=deep, chain=manifest.codec_chain, key=key)
+    results = _run_entries(manifest.entries, lambda e: e.payload_size, check, thread_count)
     findings = [finding for finding, _ in results if finding is not None]
     bytes_checked = sum(size for _, size in results)
-
-    known = set(manifest.entry_map())
-    for real in sorted(brick_dir.rglob("*")):
-        if real.is_dir():
-            continue
-        relative = real.relative_to(brick_dir).as_posix()
-        if relative == MANIFEST_FILENAME or relative in known:
-            continue
-        findings.append(Finding(relative, KIND_EXTRA, "not listed in the manifest"))
-
+    known = {entry.path for entry in manifest.entries} | {MANIFEST_FILENAME}
+    findings += [
+        Finding(relative, KIND_EXTRA, "not listed in the manifest")
+        for relative, child in _walk(root)
+        if not child.is_dir(follow_symlinks=False) and relative not in known
+    ]
     findings.sort(key=lambda finding: finding.path)
     return VerifyReport(
         brick_dir=brick_dir,
@@ -367,34 +390,25 @@ def _scratch_names(entries: tuple[ChunkEntry, ...], directories: list[str]) -> l
 
 
 def _restore(
-    brick_dir: Path, entry: ChunkEntry, chain: tuple[str, ...], key: bytes | None,
-    scratch: Path, final: Path,
+    root: str, dest: str, chain: tuple[str, ...], key: bytes | None, job: tuple[ChunkEntry, str]
 ) -> int:
-    """Decode one payload into scratch and give it its final name once it is proven."""
-    source, finding = _open_payload(brick_dir, entry)
-    if source is None:
-        raise IntegrityError(str(finding))
-    with source, open(scratch, "xb") as out:
+    """Decode one payload into its scratch file and give it its final name once it is proven."""
+    entry, scratch = job[0], f"{dest}/{job[1]}"
+    with open(scratch, "xb") as out:
         try:
-            decoded = payload_mod.decode_file(
-                source.fileno(), entry.payload_size, chain, key, entry.plain_size, out.write
-            )
+            finding, _ = _check_entry(root, entry, True, chain, key, out.write)
             out.close()  # flushed before the file can get its name
-            finding = _judge(entry, decoded, deep=True)
             if finding is not None:
                 raise IntegrityError(str(finding))
-            os.rename(scratch, final)
+            os.rename(scratch, f"{dest}/{entry.path}")
         except BaseException:
-            scratch.unlink(missing_ok=True)
+            Path(scratch).unlink(missing_ok=True)
             raise
-    return decoded.plain_size
+    return entry.plain_size
 
 
 def unpack(
-    brick_dir: Path,
-    dest_dir: Path,
-    passphrase: str | None = None,
-    workers: int | None = None,
+    brick_dir: Path, dest_dir: Path, passphrase: str | None = None, workers: int | None = None
 ) -> UnpackResult:
     """Restore the original tree, proving every file before it gets its name.
 
@@ -415,27 +429,12 @@ def unpack(
     dest_dir.mkdir(parents=True, exist_ok=True)
     directories = _directories(entry.path for entry in manifest.entries)
     jobs = list(zip(manifest.entries, _scratch_names(manifest.entries, directories)))
-    failed = threading.Event()
-
-    def restore(job: tuple[ChunkEntry, str]) -> int:
-        if failed.is_set():
-            return 0
-        entry, scratch = job
-        try:
-            return _restore(brick_dir, entry, chain, key, dest_dir / scratch, dest_dir / entry.path)
-        except BaseException:
-            failed.set()
-            raise
-
+    restore = functools.partial(_restore, str(brick_dir), str(dest_dir), chain, key)
     try:
         for directory in directories:
             (dest_dir / directory).mkdir(exist_ok=True)
-        with ThreadPoolExecutor(max_workers=thread_count) as pool:
-            written = list(pool.map(restore, jobs))
+        written = _run_entries(jobs, lambda job: job[0].payload_size, restore, thread_count)
     except BaseException:
         _remove_partial(dest_dir, (), directories)
         raise
-
-    return UnpackResult(
-        dest_dir=dest_dir, file_count=len(written), bytes_written=sum(written)
-    )
+    return UnpackResult(dest_dir=dest_dir, file_count=len(written), bytes_written=sum(written))

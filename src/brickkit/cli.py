@@ -122,6 +122,8 @@ def _cmd_pack(args: argparse.Namespace) -> int:
         f" ({result.plain_bytes:,} bytes) into {result.brick_dir}"
         f" ({result.payload_bytes:,} payload bytes, codec {args.codec})"
     )
+    for directory in result.empty_dirs:
+        print(f"skipped empty directory {directory}: a brick holds files only", file=sys.stderr)
     return EXIT_OK
 
 
@@ -228,7 +230,12 @@ def _add_passphrase_flags(parser: argparse.ArgumentParser) -> None:
         metavar="VAR",
         help="environment variable holding the passphrase (never pass secrets as arguments)",
     )
-    parser.add_argument("--workers", type=int, help="worker threads (default: cpu-bound)")
+    parser.add_argument(
+        "--workers",
+        type=int,
+        help="threads for files of 1 MiB and up; smaller files run on the calling thread"
+        " (default: one per core, up to 8)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

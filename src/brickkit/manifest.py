@@ -50,6 +50,13 @@ MAX_KDF_ITERATIONS = 10_000_000
 SALT_BYTES = 16
 
 _HEX_DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
+_DECIMAL_RE = re.compile(r"0|[1-9][0-9]*")
+# Printable ASCII without '%': a path made only of these encodes to itself.
+_PLAIN_PATH_RE = re.compile(r"[\x20-\x24\x26-\x7e]*")
+# An entry line with such a path and canonical sizes; ChunkEntry checks the rest.
+_PLAIN_ENTRY_RE = re.compile(
+    r"([\x20-\x24\x26-\x7e]*)\t(0|[1-9][0-9]*)\t([^\t]*)\t(0|[1-9][0-9]*)\t([^\t]*)"
+)
 
 
 def validate_chain(chain: tuple[str, ...]) -> tuple[str, ...]:
@@ -81,6 +88,8 @@ def check_relative_path(path: str) -> str:
 
 def encode_path(path: str) -> str:
     """NFC-normalize and percent-encode a path for its manifest line."""
+    if _PLAIN_PATH_RE.fullmatch(path):
+        return path
     raw = unicodedata.normalize("NFC", path).encode("utf-8")
     out = []
     for byte in raw:
@@ -93,6 +102,8 @@ def encode_path(path: str) -> str:
 
 def decode_path(text: str) -> str:
     """Invert encode_path; an escaped separator or NUL is always an error."""
+    if _PLAIN_PATH_RE.fullmatch(text):
+        return check_relative_path(text)
     out = bytearray()
     i = 0
     while i < len(text):
@@ -235,9 +246,26 @@ def _fail(line_number: int, message: str) -> ManifestError:
 
 def _decimal(text: str, what: str, line_number: int) -> int:
     """Parse the one spelling serialize_manifest writes: no sign, padding or separators."""
-    if not (text.isascii() and text.isdigit()) or (text[0] == "0" and text != "0"):
+    if not _DECIMAL_RE.fullmatch(text):
         raise _fail(line_number, f"{what} {text!r} is not a canonical decimal")
     return int(text)
+
+
+def _parse_entry(line: str, line_number: int) -> ChunkEntry:
+    """One entry line, checked field by field so a defect gets a precise message."""
+    fields = line.split("\t")
+    if len(fields) != 5:
+        raise _fail(line_number, f"expected 5 tab-separated fields, got {len(fields)}")
+    path = decode_path(fields[0])
+    if encode_path(path) != fields[0]:
+        raise ValueError(f"path {fields[0]!r} is not in canonical form")
+    return ChunkEntry(
+        path=path,
+        plain_size=_decimal(fields[1], "plain size", line_number),
+        plain_sha256=fields[2],
+        payload_size=_decimal(fields[3], "payload size", line_number),
+        payload_sha256=fields[4],
+    )
 
 
 def parse_manifest(data: bytes) -> Manifest:
@@ -314,8 +342,8 @@ def parse_manifest(data: bytes) -> Manifest:
         raise _fail(index + 1, f"headers must appear in the order {', '.join(order)}")
 
     index += 1  # past the blank line
+    first_entry = index
     entries: list[ChunkEntry] = []
-    section = hashlib.sha256()
     declared_digest = None
     while index < len(raw_lines):
         line = text(index)
@@ -326,31 +354,28 @@ def parse_manifest(data: bytes) -> Manifest:
             if index != len(raw_lines) - 1:
                 raise _fail(index + 2, "content after the digest line")
             break
-        fields = line.split("\t")
-        if len(fields) != 5:
-            raise _fail(index + 1, f"expected 5 tab-separated fields, got {len(fields)}")
+        plain = _PLAIN_ENTRY_RE.fullmatch(line)
         try:
-            path = decode_path(fields[0])
-            if encode_path(path) != fields[0]:
-                raise ValueError(f"path {fields[0]!r} is not in canonical form")
-            entry = ChunkEntry(
-                path=path,
-                plain_size=_decimal(fields[1], "plain size", index + 1),
-                plain_sha256=fields[2],
-                payload_size=_decimal(fields[3], "payload size", index + 1),
-                payload_sha256=fields[4],
-            )
+            if plain is not None:  # the common line: no escapes, so already canonical
+                path, plain_size, plain_sha256, payload_size, payload_sha256 = plain.groups()
+                entry = ChunkEntry(
+                    path, int(plain_size), plain_sha256, int(payload_size), payload_sha256
+                )
+            else:
+                entry = _parse_entry(line, index + 1)
         except ValueError as exc:
             raise _fail(index + 1, str(exc)) from None
         if entries and not (entries[-1].path < entry.path):
             raise _fail(index + 1, f"entries not strictly ascending at {entry.path!r}")
         entries.append(entry)
-        section.update(raw_lines[index] + b"\n")
         index += 1
 
     if declared_digest is None:
         raise ManifestError("truncated: missing digest line")
-    if declared_digest != section.hexdigest():
+    # The entry lines, each with its LF, run from the first entry to the digest line.
+    start = sum(len(line) + 1 for line in raw_lines[:first_entry])
+    end = len(data) - len(raw_lines[-1]) - 1
+    if declared_digest != hashlib.sha256(data[start:end]).hexdigest():
         raise ManifestError("entries digest mismatch: manifest is corrupt")
 
     try:

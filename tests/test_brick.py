@@ -132,6 +132,20 @@ def test_pack_rejects_symlinks(tmp_path):
         pack(source, tmp_path / "brick")
 
 
+def test_pack_names_the_empty_directories_it_cannot_store(tmp_path):
+    source = tmp_path / "src"
+    (source / "empty").mkdir(parents=True)
+    (source / "full").mkdir()
+    (source / "full" / "a").write_bytes(b"a")
+    (source / "hollow" / "inner").mkdir(parents=True)
+    brick_dir = tmp_path / "brick"
+    result = pack(source, brick_dir)
+    assert result.empty_dirs == ("empty", "hollow", "hollow/inner")
+    assert [entry.path for entry in result.manifest.entries] == ["full/a"]
+    assert sorted(p.name for p in brick_dir.iterdir()) == [MANIFEST_FILENAME, "full"]
+    assert pack(source / "full", tmp_path / "b2").empty_dirs == ()
+
+
 def test_pack_rejects_manifest_name_collision(tmp_path):
     source = tmp_path / "src"
     source.mkdir()
@@ -214,6 +228,21 @@ def test_verify_extra_file(tmp_path):
     report = verify(brick_dir)
     assert [(f.path, f.kind) for f in report.findings] == [("stowaway.bin", KIND_EXTRA)]
     assert not report.ok
+
+
+def test_verify_reports_planted_symlinks_to_a_directory_and_a_file(tmp_path):
+    brick_dir, _ = packed_brick(tmp_path)
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    (elsewhere / "inside").write_bytes(b"?")
+    (brick_dir / "sublink").symlink_to(elsewhere)
+    (brick_dir / "sub" / "filelink").symlink_to(brick_dir / "readme.txt")
+    for deep in (False, True):
+        report = verify(brick_dir, deep=deep)
+        assert [(f.path, f.kind) for f in report.findings] == [
+            ("sub/filelink", KIND_EXTRA),
+            ("sublink", KIND_EXTRA),
+        ]
 
 
 def test_verify_wrong_passphrase_fails_every_entry(tmp_path):

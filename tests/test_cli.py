@@ -151,6 +151,15 @@ def test_encrypted_round_trip_reads_env_passphrase(tmp_path, capsys, monkeypatch
     assert "2 problem(s)" in out
 
 
+def test_pack_names_skipped_empty_directories_on_stderr(tmp_path, capsys):
+    source = make_tree(tmp_path)
+    (source / "empty").mkdir()
+    assert main(["pack", str(source), str(tmp_path / "brick")]) == 0
+    captured = capsys.readouterr()
+    assert "packed 2 files" in captured.out
+    assert captured.err == "skipped empty directory empty: a brick holds files only\n"
+
+
 def test_pack_encrypting_without_passphrase_is_config_error(tmp_path, capsys):
     source = make_tree(tmp_path)
     code = main(["pack", str(source), str(tmp_path / "b"), "--codec", "aes-256-gcm"])

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import hashlib
+import re
 import unicodedata
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import brickkit.manifest as manifest_module
 from brickkit.errors import ManifestError, UnsupportedVersionError
 from brickkit.manifest import (
     MAX_KDF_ITERATIONS,
@@ -126,6 +129,68 @@ def test_path_codec_round_trips(segments):
         return  # NFC can in principle create a rejected segment; not round-trippable
     assert decode_path(encode_path(path)) == nfc
     assert all(0x20 <= ord(c) <= 0x7E for c in encode_path(path))
+
+
+def reference_encode_path(path: str) -> str:
+    """The byte loop alone, as encode_path ran before it had a fast path."""
+    raw = unicodedata.normalize("NFC", path).encode("utf-8")
+    return "".join(f"%{b:02X}" if b <= 0x1F or b == 0x25 or b > 0x7E else chr(b) for b in raw)
+
+
+def reference_decode_path(text: str) -> str:
+    """The byte loop alone, as decode_path ran before it had a fast path."""
+    out = bytearray()
+    i = 0
+    while i < len(text):
+        if text[i] == "%":
+            pair = text[i + 1 : i + 3]
+            if len(pair) != 2 or not re.fullmatch(r"[0-9A-Fa-f]{2}", pair):
+                raise ValueError(f"bad percent escape in path: {text!r}")
+            if int(pair, 16) == 0x2F:
+                raise ValueError(f"escaped '/' in path: {text!r}")
+            out.append(int(pair, 16))
+            i += 3
+        else:
+            if ord(text[i]) > 0x7E or ord(text[i]) <= 0x1F:
+                raise ValueError(f"unescaped byte in path: {text!r}")
+            out.append(ord(text[i]))
+            i += 1
+    try:
+        path = out.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"path is not valid UTF-8: {text!r}") from None
+    return check_relative_path(path)
+
+
+def outcome(function, text: str) -> tuple[str, str]:
+    try:
+        return "returned", function(text)
+    except ValueError as exc:
+        return "raised", str(exc)
+
+
+PATH_PIECES = [
+    "a", "Z", "0", " ", "~", "$", "&", ".", "..", "/", "%", "%25", "%2F", "%2f", "%00",
+    "%41", "%C3%A9", "%CC%81", "%C3", "%zz", "%4", "\x00", "\x01", "\x1f", "\t", "\x7f", "\x80",
+    "é", "e\u0301", "Å", "\U0001F600", "digest: ",
+]
+
+
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(PATH_PIECES), max_size=8).map("".join),
+        st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12),
+    )
+)
+@example("plain/printable name.txt")
+def test_path_codec_fast_path_agrees_with_the_byte_loop(text):
+    assert outcome(encode_path, text) == outcome(reference_encode_path, text)
+    assert outcome(decode_path, text) == outcome(reference_decode_path, text)
+    if re.fullmatch(r"[\x20-\x24\x26-\x7e]*", text):  # printable ASCII without '%'
+        # The fast path hands such a path back as it is, without a byte loop.
+        assert encode_path(text) is text
+        if outcome(decode_path, text)[0] == "returned":
+            assert decode_path(text) is text
 
 
 # ---------- entries and manifest objects ----------
@@ -370,6 +435,29 @@ def test_parse_rejects_non_canonical_sizes(spelling, field):
     data = assemble(encrypted_headers(), [entry_line(**{field: spelling})])
     with pytest.raises(ManifestError, match="canonical"):
         parse_manifest(data)
+
+
+def parse_outcome(data: bytes) -> tuple:
+    try:
+        return "returned", parse_manifest(data)
+    except ManifestError as exc:
+        return "raised", type(exc), str(exc)
+
+
+@given(
+    st.lists(st.sampled_from(PATH_PIECES), max_size=6).map("".join),
+    st.sampled_from(["0", "1", "10", *NON_CANONICAL_DECIMALS]),
+    st.sampled_from(["0", "7", "01"]),
+    st.sampled_from([SHA_X, SHA_X.upper(), SHA_X[1:], "", "x" * 64, SHA_X + "\t" + SHA_X]),
+)
+def test_entry_line_fast_path_agrees_with_the_field_by_field_parse(path, plain, payload, digest):
+    data = assemble(
+        ["dataset: set", "created: 2026-01-01T00:00:00Z", "codec: none"],
+        [f"{path}\t{plain}\t{digest}\t{payload}\t{SHA_X}"],
+    )
+    fast = parse_outcome(data)
+    with mock.patch.object(manifest_module, "_PLAIN_ENTRY_RE", re.compile(r"(?!)")):
+        assert parse_outcome(data) == fast
 
 
 @pytest.mark.parametrize("spelling", NON_CANONICAL_DECIMALS)

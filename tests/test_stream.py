@@ -18,13 +18,16 @@ import pytest
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
+from brickkit import brick as brick_mod
 from brickkit import payload
 from brickkit.brick import (
     KIND_DECODE,
+    KIND_EXTRA,
     KIND_MISSING,
     KIND_PAYLOAD_DIGEST,
     KIND_PLAIN_DIGEST,
     KIND_PLAIN_SIZE,
+    KIND_SIZE,
     load_manifest,
     pack,
     unpack,
@@ -334,6 +337,95 @@ def test_a_fifo_in_place_of_a_payload_is_missing_not_a_hang(tmp_path):
     assert kinds(verify(brick_dir, deep=True)) == [("f", KIND_MISSING)]
     with pytest.raises(IntegrityError, match=KIND_MISSING):
         unpack(brick_dir, tmp_path / "out")
+
+
+# ---------- one scheduling rule: small entries inline, large ones pooled ----------
+
+SPLIT = 64  # CHUNK_BYTES in these tests, so that entries fall on both sides of the rule
+
+
+def test_hostile_brick_gives_the_same_findings_inline_and_pooled(tmp_path, monkeypatch):
+    monkeypatch.setattr(payload, "CHUNK_BYTES", SPLIT)
+    source = tmp_path / "src"
+    defects = ["fine", "missing", "short", "flipped", "fifo", "dir", "plain"]
+    names = [f"d{i % 2}/{defect}-{size}" for i, defect in enumerate(defects) for size in (20, 2000)]
+    for seed, name in enumerate(names):
+        (source / name).parent.mkdir(parents=True, exist_ok=True)
+        (source / name).write_bytes(body(int(name.rpartition("-")[2]), seed))
+    brick_dir = tmp_path / "brick"
+    do_pack(source, brick_dir, ("none",))
+
+    shallow, deep_only = [], []
+    for name in names:
+        stored = brick_dir / name
+        defect = name.split("/")[1].split("-")[0]
+        if defect == "missing":
+            stored.unlink()
+            shallow.append((name, KIND_MISSING))
+        elif defect == "short":
+            stored.write_bytes(stored.read_bytes()[:-1])
+            shallow.append((name, KIND_SIZE))
+        elif defect == "flipped":
+            stored.write_bytes(b"X" + stored.read_bytes()[1:])
+            shallow.append((name, KIND_PAYLOAD_DIGEST))
+        elif defect == "fifo":
+            stored.unlink()
+            os.mkfifo(stored)
+            shallow.append((name, KIND_MISSING))
+        elif defect == "dir":
+            stored.unlink()
+            stored.mkdir()
+            (stored / "stowaway").write_bytes(b"?")
+            shallow += [(name, KIND_MISSING), (f"{name}/stowaway", KIND_EXTRA)]
+        elif defect == "plain":
+            reseal(brick_dir, name, b"X" + stored.read_bytes()[1:])
+            deep_only.append((name, KIND_PLAIN_DIGEST))
+    (brick_dir / "extra" / "deeper").mkdir(parents=True)
+    (brick_dir / "extra" / "deeper" / "x").write_bytes(b"?")
+    (brick_dir / "d0" / "extra").write_bytes(b"?")
+    (brick_dir / "link-dir").symlink_to(tmp_path)
+    (brick_dir / "d1" / "link-file").symlink_to(brick_dir / "d0" / "fine-20")
+    shallow += [(path, KIND_EXTRA) for path in ("extra/deeper/x", "d0/extra", "link-dir")]
+    shallow.append(("d1/link-file", KIND_EXTRA))
+
+    sizes = [entry.payload_size for entry in load_manifest(brick_dir).entries]
+    assert min(sizes) < SPLIT <= max(sizes)
+    for deep, expected in ((False, shallow), (True, shallow + deep_only)):
+        reports = [verify(brick_dir, deep=deep, workers=workers) for workers in (1, 2, None)]
+        assert reports[0].findings == reports[1].findings == reports[2].findings
+        assert reports[0].bytes_checked == reports[1].bytes_checked == reports[2].bytes_checked
+        assert kinds(reports[0]) == sorted(expected)
+
+
+@pytest.mark.parametrize("bad", ["a", "big/c"])
+def test_unpack_starts_nothing_after_the_first_bad_entry(tmp_path, monkeypatch, bad):
+    monkeypatch.setattr(payload, "CHUNK_BYTES", SPLIT)
+    source = tmp_path / "src"
+    (source / "big").mkdir(parents=True)
+    (source / "a").write_bytes(b"small, sorted first")
+    for seed, name in enumerate(["b", "c", "d", "e"]):
+        (source / "big" / name).write_bytes(body(4000, seed))
+    (source / "small").write_bytes(b"small, sorted last")
+    brick_dir = tmp_path / "brick"
+    do_pack(source, brick_dir, ("none",))
+    stored = brick_dir / bad
+    stored.write_bytes(b"X" + stored.read_bytes()[1:])
+    started = []
+    check = brick_mod._check_entry
+
+    def spy(root, entry, *args):
+        started.append(entry.path)
+        return check(root, entry, *args)
+
+    monkeypatch.setattr(brick_mod, "_check_entry", spy)
+    dest = tmp_path / "out"
+    with pytest.raises(IntegrityError, match=f"^{KIND_PAYLOAD_DIGEST}: {bad}:"):
+        unpack(brick_dir, dest, workers=2)
+    if bad == "a":  # inline, and sorted before every large entry
+        assert started == ["a"] and leftovers(dest) == []
+    assert not [path for path in leftovers(dest) if path.endswith(".part")]
+    for path, data in read_tree(dest).items():
+        assert data == (source / path).read_bytes()
 
 
 # ---------- the GCM size ceiling ----------
