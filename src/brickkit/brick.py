@@ -235,13 +235,21 @@ def pack(
 
     def store(item: tuple[str, str, int]) -> ChunkEntry:
         stored, real, _ = item
-        with open(real, "rb", buffering=0) as source, open(f"{brick_dir}/{stored}", "wb") as sink:
-            size = os.fstat(source.fileno()).st_size
+        source = os.open(real, os.O_RDONLY)
+        try:
+            sink = os.open(f"{brick_dir}/{stored}", os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
             try:
-                encoded = payload_mod.encode_file(source.fileno(), size, sink.write, chain, key)
+                size = os.fstat(source).st_size
+                write = functools.partial(_write_all, sink)
+                encoded = payload_mod.encode_file(source, size, write, chain, key)
             except ConfigError as exc:
                 raise ConfigError(f"{stored}: {exc}") from None
-        return ChunkEntry(stored, *encoded)
+            finally:
+                os.close(sink)
+        finally:
+            os.close(source)
+        # _collect_source checked the path; the digests are hexdigest() output.
+        return ChunkEntry._proven(stored, *encoded)
 
     try:
         for directory in directories:
@@ -362,8 +370,10 @@ def _directories(paths: Iterable[str]) -> list[str]:
     """Every directory the file paths need, each after its parent."""
     found: set[str] = set()
     for path in paths:
-        parts = path.split("/")[:-1]
-        found.update("/".join(parts[:depth]) for depth in range(1, len(parts) + 1))
+        parent = path.rpartition("/")[0]
+        while parent and parent not in found:  # a known directory's parents are known too
+            found.add(parent)
+            parent = parent.rpartition("/")[0]
     return sorted(found)
 
 
@@ -389,21 +399,32 @@ def _scratch_names(entries: tuple[ChunkEntry, ...], directories: list[str]) -> l
     return names
 
 
+def _write_all(fd: int, data: bytes) -> None:
+    """os.write until every byte is written; a short write is not an error."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
 def _restore(
     root: str, dest: str, chain: tuple[str, ...], key: bytes | None, job: tuple[ChunkEntry, str]
 ) -> int:
     """Decode one payload into its scratch file and give it its final name once it is proven."""
     entry, scratch = job[0], f"{dest}/{job[1]}"
-    with open(scratch, "xb") as out:
+    out = os.open(scratch, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
         try:
-            finding, _ = _check_entry(root, entry, True, chain, key, out.write)
-            out.close()  # flushed before the file can get its name
-            if finding is not None:
-                raise IntegrityError(str(finding))
-            os.rename(scratch, f"{dest}/{entry.path}")
-        except BaseException:
-            Path(scratch).unlink(missing_ok=True)
-            raise
+            write = functools.partial(_write_all, out)
+            finding, _ = _check_entry(root, entry, True, chain, key, write)
+        finally:
+            os.close(out)  # closed before the file can get its name
+        if finding is not None:
+            raise IntegrityError(str(finding))
+        os.rename(scratch, f"{dest}/{entry.path}")
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(scratch)
+        raise
     return entry.plain_size
 
 

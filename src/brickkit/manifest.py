@@ -49,13 +49,14 @@ DEFAULT_KDF_ITERATIONS = 210_000
 MAX_KDF_ITERATIONS = 10_000_000
 SALT_BYTES = 16
 
-_HEX_DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
+_HEX_DIGEST_RE = re.compile(r"[0-9a-f]{64}")
 _DECIMAL_RE = re.compile(r"0|[1-9][0-9]*")
 # Printable ASCII without '%': a path made only of these encodes to itself.
 _PLAIN_PATH_RE = re.compile(r"[\x20-\x24\x26-\x7e]*")
-# An entry line with such a path and canonical sizes; ChunkEntry checks the rest.
+# An entry line with such a path, canonical sizes and well-formed digests;
+# only check_relative_path is left to prove.
 _PLAIN_ENTRY_RE = re.compile(
-    r"([\x20-\x24\x26-\x7e]*)\t(0|[1-9][0-9]*)\t([^\t]*)\t(0|[1-9][0-9]*)\t([^\t]*)"
+    r"([\x20-\x24\x26-\x7e]*)\t(0|[1-9][0-9]*)\t([0-9a-f]{64})\t(0|[1-9][0-9]*)\t([0-9a-f]{64})"
 )
 
 
@@ -146,7 +147,7 @@ class KdfParams:
             raise ValueError(f"salt must be {SALT_BYTES} bytes")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChunkEntry:
     """One stored file: where it lives and the digests that prove it."""
 
@@ -161,8 +162,26 @@ class ChunkEntry:
         if self.plain_size < 0 or self.payload_size < 0:
             raise ValueError(f"negative size for {self.path!r}")
         for digest in (self.plain_sha256, self.payload_sha256):
-            if not _HEX_DIGEST_RE.match(digest):
+            if not _HEX_DIGEST_RE.fullmatch(digest):
                 raise ValueError(f"malformed sha256 digest {digest!r} for {self.path!r}")
+
+    @classmethod
+    def _proven(
+        cls, path: str, plain_size: int, plain_sha256: str, payload_size: int, payload_sha256: str
+    ) -> ChunkEntry:
+        """An entry whose fields the caller has already checked, built without __post_init__.
+
+        For parse_manifest's entry pattern and for pack, whose paths passed
+        check_relative_path and whose digests come from hexdigest().
+        """
+        entry = object.__new__(cls)
+        store = object.__setattr__
+        store(entry, "path", path)
+        store(entry, "plain_size", plain_size)
+        store(entry, "plain_sha256", plain_sha256)
+        store(entry, "payload_size", payload_size)
+        store(entry, "payload_sha256", payload_sha256)
+        return entry
 
     def line(self) -> bytes:
         """The entry's manifest line, LF included."""
@@ -234,10 +253,9 @@ def serialize_manifest(manifest: Manifest) -> bytes:
             f"salt: {manifest.kdf.salt.hex()}\n",
         ]
     lines.append("\n")
-    body = "".join(lines).encode("utf-8")
-    body += b"".join(entry.line() for entry in manifest.entries)
-    body += f"digest: {manifest.entries_digest()}\n".encode("ascii")
-    return body
+    entry_lines = b"".join(entry.line() for entry in manifest.entries)
+    digest = hashlib.sha256(entry_lines).hexdigest()
+    return "".join(lines).encode("utf-8") + entry_lines + f"digest: {digest}\n".encode("ascii")
 
 
 def _fail(line_number: int, message: str) -> ManifestError:
@@ -358,8 +376,9 @@ def parse_manifest(data: bytes) -> Manifest:
         try:
             if plain is not None:  # the common line: no escapes, so already canonical
                 path, plain_size, plain_sha256, payload_size, payload_sha256 = plain.groups()
-                entry = ChunkEntry(
-                    path, int(plain_size), plain_sha256, int(payload_size), payload_sha256
+                entry = ChunkEntry._proven(
+                    check_relative_path(path), int(plain_size), plain_sha256,
+                    int(payload_size), payload_sha256,
                 )
             else:
                 entry = _parse_entry(line, index + 1)

@@ -23,7 +23,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.kdf.pbkdf2 import PBKDF2HMAC
 
 from .errors import ConfigError
-from .manifest import CODEC_DEFLATE, KdfParams, is_encrypted
+from .manifest import CODEC_DEFLATE, CODEC_NONE, KdfParams, is_encrypted
 
 KEY_BYTES = 32
 NONCE_BYTES = 12
@@ -37,6 +37,7 @@ GCM_MAX_BYTES = 2**36 - 32
 
 # Fixed test vector; refuse to run if the hash primitive is miscompiled.
 _SHA256_ABC = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+_SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 
 def self_test() -> None:
@@ -133,9 +134,9 @@ def encode_file(
     """Stream `size` bytes of fd through the codec chain into write().
 
     The payload bytes equal the one-shot v1 transform of the same input:
-    deflate output does not depend on how its input is split.
+    deflate output does not depend on how its input is split. Under codec
+    none they are the input itself, so one digest serves both.
     """
-    plain = _Counted()
     out = _Counted(write)
     seal = None
     if is_encrypted(chain):
@@ -146,14 +147,18 @@ def encode_file(
     compressor = None
     if CODEC_DEFLATE in chain:
         compressor = zlib.compressobj(DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
+    plain = out if chain == (CODEC_NONE,) else _Counted()
     for chunk in _read_chunks(fd, size):
-        plain.feed(chunk)
+        if plain is not out:
+            plain.feed(chunk)
         stage(compressor.compress(chunk) if compressor is not None else chunk)
     if compressor is not None:
         stage(compressor.flush())
     if seal is not None:
         seal.finish()
-    return Encoded(plain.size, plain.hash.hexdigest(), out.size, out.hash.hexdigest())
+    payload_sha256 = out.hash.hexdigest()
+    plain_sha256 = payload_sha256 if plain is out else plain.hash.hexdigest()
+    return Encoded(plain.size, plain_sha256, out.size, payload_sha256)
 
 
 # ---------- decode ----------
@@ -162,7 +167,9 @@ class Decoded(NamedTuple):
     """What one read of a payload showed; the caller ranks the findings.
 
     plain_size is exact unless overflow is set, in which case decoding
-    stopped as soon as the output passed the expected size.
+    stopped as soon as the output passed the expected size and plain_sha256
+    means nothing. A shallow read decodes nothing: plain_size is 0 and
+    plain_sha256 the digest of no bytes.
     """
 
     payload_size: int
@@ -174,23 +181,33 @@ class Decoded(NamedTuple):
 
 
 class _Plain:
-    """The decoded output: counted, hashed and written until it passes `limit`."""
+    """The decoded output: counted, and hashed and written until it passes `limit`.
 
-    def __init__(self, limit: int, write: Callable[[bytes], object] | None) -> None:
+    Without a hash the caller's payload digest already covers these bytes.
+    """
+
+    def __init__(
+        self, limit: int, write: Callable[[bytes], object] | None, hashed: bool
+    ) -> None:
         self.limit = limit
         self.overflow = False
-        self.out = _Counted(write)
+        self.size = 0
+        self.hash = hashlib.sha256() if hashed else None
+        self._write = write
 
     def room(self) -> int:
         """Bytes that may still arrive before the output has passed the limit."""
-        return self.limit + 1 - self.out.size
+        return self.limit + 1 - self.size
 
     def feed(self, data: bytes) -> None:
-        if self.out.size + len(data) > self.limit:
+        self.size += len(data)
+        if self.size > self.limit:
             self.overflow = True
-            self.out.size += len(data)
-        elif not self.overflow:
-            self.out.feed(data)
+            return
+        if self.hash is not None:
+            self.hash.update(data)
+        if self._write is not None:
+            self._write(data)
 
 
 class _Inflate:
@@ -292,10 +309,12 @@ def decode_file(
     deflate saw unauthenticated bytes.
     """
     payload = _Counted()
-    plain = _Plain(plain_limit, write)
+    plain = None
     stages: list[_Inflate | _Open] = []  # outermost last
     head = None
     if chain is not None:
+        # Under codec none the plaintext is the payload: one digest serves both.
+        plain = _Plain(plain_limit, write, hashed=chain != (CODEC_NONE,))
         head = plain.feed
         if CODEC_DEFLATE in chain:
             stages.append(_Inflate(plain))
@@ -314,11 +333,14 @@ def decode_file(
     for stage in stages:
         stage.finish()
     errors = [stage.error for stage in stages if stage.error is not None]
+    payload_sha256 = payload.hash.hexdigest()
+    if plain is None:
+        return Decoded(payload.size, payload_sha256, 0, _SHA256_EMPTY, None, False)
     return Decoded(
         payload_size=payload.size,
-        payload_sha256=payload.hash.hexdigest(),
-        plain_size=plain.out.size,
-        plain_sha256=plain.out.hash.hexdigest(),
+        payload_sha256=payload_sha256,
+        plain_size=plain.size,
+        plain_sha256=plain.hash.hexdigest() if plain.hash is not None else payload_sha256,
         error=errors[0] if errors else None,
         overflow=plain.overflow,
     )

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 from dataclasses import replace
+from datetime import datetime
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brickkit import brick as brick_mod
+from brickkit import payload
 from brickkit.brick import (
     KIND_DECODE,
     KIND_EXTRA,
@@ -359,3 +363,49 @@ def test_random_trees_round_trip(tmp_path_factory, seed):
     dest = base / "out"
     unpack(brick_dir, dest, passphrase=passphrase)
     assert read_tree(dest) == expected
+
+
+
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "a b"]), min_size=1, max_size=5).map("/".join)))
+def test_directories_are_every_proper_prefix_of_every_path(paths):
+    expected = {
+        "/".join(path.split("/")[:depth])
+        for path in paths
+        for depth in range(1, path.count("/") + 1)
+    }
+    assert brick_mod._directories(paths) == sorted(expected)
+
+
+# ---------- pinned v1 bytes ----------
+
+# SHA-256 of BRICK-MANIFEST for make_source's tree, packed with a frozen
+# clock and a fixed os.urandom. The manifest records every payload digest,
+# so this pins the payload bytes too.
+PINNED_MANIFEST_SHA256 = {
+    ("none",): "a6dd5ddb83288de9fa766c4ef2e6c39fe056244243b6fbae6f3d2a9622894a1c",
+    ("deflate",): "9ac3eab55e41e4e2166386baf3fcccb2b4a664cc6c41246de1c3fa1b9429eda7",
+    ("aes-256-gcm",): "6b9a792e70cf8b445be2c7a9b9781022fe6e51bf81e4f01462f9b2d18d52183d",
+    ("deflate", "aes-256-gcm"): "fe0a0f281dfc84bbe5d0feb4c2f86ad763c13928cc48b34ce6e8883b04d9bf36",
+}
+
+
+class FrozenClock(datetime):
+    @classmethod
+    def now(cls, tz=None):
+        return datetime(2026, 1, 2, 3, 4, 5, tzinfo=tz)
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 7], ids=["chunk1M", "chunk7"])
+@pytest.mark.parametrize("chain", CHAINS, ids=[",".join(c) for c in CHAINS])
+def test_v1_bytes_are_pinned(tmp_path, monkeypatch, chain, chunk_bytes):
+    monkeypatch.setattr(brick_mod, "datetime", FrozenClock)
+    monkeypatch.setattr(os, "urandom", lambda n: bytes(range(n)))
+    if chunk_bytes is not None:
+        monkeypatch.setattr(payload, "CHUNK_BYTES", chunk_bytes)
+    brick_dir = tmp_path / "brick"
+    result = do_pack(make_source(tmp_path), brick_dir, chain, workers=1)
+    data = (brick_dir / MANIFEST_FILENAME).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == PINNED_MANIFEST_SHA256[chain]
+    for entry in result.manifest.entries:
+        stored = (brick_dir / entry.path).read_bytes()
+        assert hashlib.sha256(stored).hexdigest() == entry.payload_sha256

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import re
 import unicodedata
@@ -204,6 +205,14 @@ def test_chunk_entry_validation():
         ChunkEntry("ok", 0, "not-a-digest", 0, SHA_EMPTY)
     with pytest.raises(ValueError):
         ChunkEntry("ok", 0, SHA_EMPTY.upper(), 0, SHA_EMPTY)
+
+
+@pytest.mark.parametrize("field", ["plain_sha256", "payload_sha256"])
+def test_chunk_entry_rejects_a_digest_with_a_trailing_newline(field):
+    fields = dict(path="f", plain_size=1, plain_sha256=SHA_EMPTY, payload_size=1, payload_sha256=SHA_EMPTY)
+    fields[field] += "\n"
+    with pytest.raises(ValueError, match="malformed sha256 digest"):
+        ChunkEntry(**fields)
 
 
 def test_manifest_requires_sorted_unique_entries():
@@ -458,6 +467,18 @@ def test_entry_line_fast_path_agrees_with_the_field_by_field_parse(path, plain, 
     fast = parse_outcome(data)
     with mock.patch.object(manifest_module, "_PLAIN_ENTRY_RE", re.compile(r"(?!)")):
         assert parse_outcome(data) == fast
+
+
+@pytest.mark.parametrize("lane", ["fast", "field-by-field"])
+def test_parse_rejects_the_bytes_a_digest_with_a_trailing_newline_would_give(lane):
+    data = assemble(
+        ["dataset: set", "created: 2026-01-01T00:00:00Z", "codec: none"],
+        [f"f\t1\t{SHA_X}\n\t1\t{SHA_X}", f"g\t1\t{SHA_X}\t1\t{SHA_X}"],
+    )
+    forced = mock.patch.object(manifest_module, "_PLAIN_ENTRY_RE", re.compile(r"(?!)"))
+    with forced if lane == "field-by-field" else contextlib.nullcontext():
+        with pytest.raises(ManifestError, match="^line 6: expected 5 tab-separated fields, got 3$"):
+            parse_manifest(data)
 
 
 @pytest.mark.parametrize("spelling", NON_CANONICAL_DECIMALS)

@@ -7,8 +7,10 @@ Findings are compared with a whole-buffer reference decoder kept here.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import os
+import re
 import resource
 import zlib
 from dataclasses import replace
@@ -33,8 +35,9 @@ from brickkit.brick import (
     unpack,
     verify,
 )
-from brickkit.errors import ConfigError, IntegrityError
-from brickkit.manifest import MANIFEST_FILENAME, serialize_manifest
+from brickkit.cli import main
+from brickkit.errors import EXIT_IO, ConfigError, IntegrityError
+from brickkit.manifest import MANIFEST_FILENAME, ChunkEntry, parse_manifest, serialize_manifest
 from conftest import FAST_KDF_ITERATIONS, read_tree
 
 CHAINS = [
@@ -504,3 +507,207 @@ def test_sparse_file_past_2_gib_round_trips_in_flat_memory(tmp_path):
     assert (tmp_path / "out" / "sparse.bin").stat().st_size == size
     # A whole-buffer pipeline would hold at least the 2 GiB plaintext.
     assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 < 2**30
+
+
+# ---------- codec none: payload and plaintext are the same bytes ----------
+
+# name: (plain size minus payload size, plain digest wrong, payload byte flipped)
+IDENTITY_LIES = {
+    "fine": (0, False, False),
+    "longer": (1, False, False),
+    "shorter": (-1, False, False),
+    "digest": (0, True, False),
+    "longer-digest": (1, True, False),
+    "shorter-digest": (-1, True, False),
+    "flipped-shorter": (-1, False, True),
+    "flipped-digest": (0, True, True),
+}
+
+
+def identity_finding(name: str) -> tuple[str, str, bool] | None:
+    """(kind, detail, shallow too) for one lie; sizes are in the file name."""
+    lie, size = name.rsplit("-", 1)
+    size_change, digest_wrong, flipped = IDENTITY_LIES[lie.split("/")[-1]]
+    plain_size = int(size) + size_change
+    if flipped:
+        return KIND_PAYLOAD_DIGEST, "stored bytes do not match", True
+    if size_change > 0:
+        return KIND_PLAIN_SIZE, f"decoded to {size} bytes, manifest says {plain_size}", False
+    if size_change < 0:
+        return KIND_PLAIN_SIZE, f"decoded to more than the {plain_size} bytes the manifest says", False
+    if digest_wrong:
+        return KIND_PLAIN_DIGEST, "decoded bytes do not match", False
+    return None
+
+
+def tell_lies(brick_dir: Path, original: bytes, names) -> None:
+    """Rewrite the manifest so that only the named entries lie."""
+    manifest = parse_manifest(original)
+    entries = []
+    for entry in manifest.entries:
+        if entry.path in names:
+            size_change, digest_wrong, _ = IDENTITY_LIES[entry.path.split("/")[-1].rsplit("-", 1)[0]]
+            entry = replace(
+                entry,
+                plain_size=entry.plain_size + size_change,
+                plain_sha256=hashlib.sha256(b"other").hexdigest() if digest_wrong else entry.plain_sha256,
+            )
+        entries.append(entry)
+    (brick_dir / MANIFEST_FILENAME).write_bytes(
+        serialize_manifest(replace(manifest, entries=tuple(entries)))
+    )
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, SPLIT], ids=["chunk1M", f"chunk{SPLIT}"])
+def test_identity_codec_lies_give_the_same_findings_in_the_same_order(
+    tmp_path, monkeypatch, chunk_bytes
+):
+    if chunk_bytes is not None:
+        monkeypatch.setattr(payload, "CHUNK_BYTES", chunk_bytes)
+    source = tmp_path / "src"
+    names = [f"d{seed % 3}/{lie}-{size}" for seed, lie in enumerate(IDENTITY_LIES) for size in (1, 2000)]
+    for seed, name in enumerate(names):
+        (source / name).parent.mkdir(parents=True, exist_ok=True)
+        (source / name).write_bytes(body(int(name.rsplit("-", 1)[1]), seed))
+    brick_dir = tmp_path / "brick"
+    do_pack(source, brick_dir, ("none",))
+    original = (brick_dir / MANIFEST_FILENAME).read_bytes()
+    flipped = [name for name in names if IDENTITY_LIES[name.split("/")[1].rsplit("-", 1)[0]][2]]
+
+    def flip(name):
+        stored = brick_dir / name
+        stored.write_bytes(bytes([stored.read_bytes()[0] ^ 1]) + stored.read_bytes()[1:])
+
+    for name in flipped:
+        flip(name)
+    tell_lies(brick_dir, original, set(names))
+    expected = {name: identity_finding(name) for name in names}
+    for deep in (False, True):
+        want = sorted(
+            (name, kind, detail)
+            for name, found in expected.items() if found is not None
+            for kind, detail, shallow in [found] if deep or shallow
+        )
+        for workers in (1, None):
+            report = verify(brick_dir, deep=deep, workers=workers)
+            assert [(f.path, f.kind, f.detail) for f in report.findings] == want
+            assert report.bytes_checked == sum(int(name.rsplit("-", 1)[1]) for name in names)
+
+    for name in flipped:
+        flip(name)
+    for name in names:
+        tell_lies(brick_dir, original, {name})
+        if name in flipped:
+            flip(name)
+        for workers in (1, None):
+            dest = tmp_path / f"out-{workers}-{name.replace('/', '-')}"
+            found = expected[name]
+            if found is None:
+                unpack(brick_dir, dest, workers=workers)
+                assert (dest / name).read_bytes() == (source / name).read_bytes()
+            else:
+                with pytest.raises(IntegrityError, match=f"^{found[0]}: {name}: {re.escape(found[1])}$"):
+                    unpack(brick_dir, dest, workers=workers)
+                assert not (dest / name).exists()
+            assert not [path for path in leftovers(dest) if path.endswith(".part")]
+        if name in flipped:
+            flip(name)
+
+
+# ---------- raw-descriptor writes ----------
+
+def short_tree(tmp_path: Path) -> Path:
+    source = tmp_path / "src"
+    for seed, (name, size) in enumerate([("a", 3000), ("d/b", 100), ("d/e/c", 1), ("z", 70_000)]):
+        (source / name).parent.mkdir(parents=True, exist_ok=True)
+        (source / name).write_bytes(body(size, seed))
+    return source
+
+
+@pytest.mark.parametrize("chain", CHAINS, ids=CHAIN_IDS)
+def test_short_writes_round_trip(tmp_path, monkeypatch, chain):
+    source = short_tree(tmp_path)
+    (source / "empty").write_bytes(b"")
+    real_write = os.write
+    written = []
+
+    def at_most_7(fd, data):
+        count = real_write(fd, memoryview(data)[:7])
+        written.append(count)
+        return count
+
+    monkeypatch.setattr(os, "write", at_most_7)
+    brick_dir = tmp_path / "brick"
+    do_pack(source, brick_dir, chain)
+    unpack(brick_dir, tmp_path / "out", passphrase=passphrase_for(chain))
+    monkeypatch.undo()
+    assert written and max(written) == 7
+    assert read_tree(tmp_path / "out") == read_tree(source)
+    assert verify(brick_dir, deep=True, passphrase=passphrase_for(chain)).ok
+
+
+def test_a_full_disk_during_unpack_leaves_no_scratch_file(tmp_path, monkeypatch, capsys):
+    source = short_tree(tmp_path)
+    brick_dir = tmp_path / "brick"
+    do_pack(source, brick_dir, ("deflate",))
+
+    def full(fd, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "write", full)
+    with pytest.raises(OSError) as raised:
+        unpack(brick_dir, tmp_path / "out")
+    assert raised.value.errno == errno.ENOSPC
+    assert leftovers(tmp_path / "out") == []
+    assert main(["unpack", str(brick_dir), str(tmp_path / "cli-out")]) == EXIT_IO
+    assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+    assert leftovers(tmp_path / "cli-out") == []
+
+
+# ---------- one SHA-256 pass per payload byte ----------
+
+def test_codec_none_feeds_each_byte_to_sha256_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(payload, "CHUNK_BYTES", SPLIT)
+    source = short_tree(tmp_path)
+    payload_bytes = sum(p.stat().st_size for p in source.rglob("*") if p.is_file())
+    fed, made = [], []
+    real_sha256 = hashlib.sha256
+
+    class CountingSha256:
+        def __init__(self, data=b""):
+            made.append(1)
+            self._hash = real_sha256()
+            self.update(data)
+
+        def update(self, data):
+            fed.append(len(data))
+            self._hash.update(data)
+
+        def hexdigest(self):
+            return self._hash.hexdigest()
+
+    rendered = []
+    real_line = ChunkEntry.line
+
+    def line(entry):
+        rendered.append(entry.path)
+        return real_line(entry)
+
+    monkeypatch.setattr(hashlib, "sha256", CountingSha256)
+    monkeypatch.setattr(ChunkEntry, "line", line)
+    brick_dir = tmp_path / "brick"
+    entries = do_pack(source, brick_dir, ("none",)).manifest.entries
+    entry_bytes = sum(len(real_line(entry)) for entry in entries)
+    assert sorted(rendered) == sorted(entry.path for entry in entries)
+    assert sum(fed) == payload_bytes + entry_bytes
+    assert len(made) == len(entries) + 1  # one per payload, one for the manifest
+    for operation in (
+        lambda: verify(brick_dir),
+        lambda: verify(brick_dir, deep=True),
+        lambda: unpack(brick_dir, tmp_path / "out"),
+    ):
+        fed.clear()
+        made.clear()
+        operation()
+        assert sum(fed) == payload_bytes + entry_bytes
+        assert len(made) == len(entries) + 1
