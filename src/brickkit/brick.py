@@ -32,6 +32,7 @@ from .manifest import (
     ChunkEntry,
     KdfParams,
     Manifest,
+    check_header_value,
     check_relative_path,
     is_encrypted,
     parse_manifest,
@@ -210,6 +211,11 @@ def pack(
     thread_count = _worker_count(workers)
     if not source_dir.is_dir():
         raise ConfigError(f"source {source_dir} is not a directory")
+    dataset_name = dataset_name or source_dir.name
+    try:
+        check_header_value(dataset_name)
+    except ValueError as exc:
+        raise ConfigError(f"dataset name {dataset_name!r}: {exc}") from None
     _require_empty_dir(brick_dir, "destination")
     try:
         chain = validate_chain(codec_chain)
@@ -257,7 +263,7 @@ def pack(
         entries = sorted_entries(_run_entries(files, lambda item: item[2], store, thread_count))
 
         manifest = Manifest(
-            dataset_name=dataset_name or source_dir.name,
+            dataset_name=dataset_name,
             created_at=datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
             codec_chain=chain,
             entries=entries,

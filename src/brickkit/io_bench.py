@@ -93,6 +93,8 @@ class BenchSpec:
             raise ConfigError("duration_seconds must be > 0")
         if self.rng_seed < 0:
             raise ConfigError("rng_seed must be unsigned")
+        if self.rng_seed >= 2**64:
+            raise ConfigError(f"rng_seed must fit in 64 bits, got {self.rng_seed}")
         if self.verify_pattern and self.op != OP_READ:
             raise ConfigError("verify_pattern applies to read runs only")
 

@@ -73,6 +73,16 @@ def is_encrypted(chain: tuple[str, ...]) -> bool:
     return CODEC_AES_256_GCM in chain
 
 
+def check_header_value(value: str) -> None:
+    """Reject a header value that would not stay on its one manifest line as UTF-8."""
+    if any(ord(c) < 0x20 for c in value):
+        raise ValueError("header values must not contain control characters")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, as from an undecodable directory name
+        raise ValueError("header values must be valid UTF-8") from None
+
+
 def check_relative_path(path: str) -> str:
     """Reject absolute paths, '..' escapes, and unstorable names."""
     if path == "":
@@ -208,9 +218,8 @@ class Manifest:
         validate_chain(self.codec_chain)
         if is_encrypted(self.codec_chain) != (self.kdf is not None):
             raise ValueError("kdf parameters must be present exactly when the chain encrypts")
-        for label in (self.dataset_name, self.created_at):
-            if any(ord(c) < 0x20 for c in label):
-                raise ValueError("header values must not contain control characters")
+        check_header_value(self.dataset_name)
+        check_header_value(self.created_at)
         previous = None
         for entry in self.entries:
             if previous is not None and not (previous < entry.path):

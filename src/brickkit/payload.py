@@ -7,7 +7,8 @@ GCM tag appended.
 
 Both directions stream: a file is read once, in reads of at most
 CHUNK_BYTES, and every digest and codec is fed from that one read, so
-memory stays flat whatever the file size.
+memory stays flat whatever the file size. An encrypted payload is read
+as its three parts in turn: the nonce, the ciphertext, then the tag.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.kdf.pbkdf2 import PBKDF2HMAC
 
 from .errors import ConfigError
-from .manifest import CODEC_DEFLATE, CODEC_NONE, KdfParams, is_encrypted
+from .manifest import CODEC_DEFLATE, CODEC_NONE, SALT_BYTES, KdfParams, is_encrypted
 
 KEY_BYTES = 32
 NONCE_BYTES = 12
@@ -59,11 +60,41 @@ def derive_key(passphrase: str, kdf: KdfParams) -> bytes:
 
 
 def new_salt() -> bytes:
-    return os.urandom(16)
+    return os.urandom(SALT_BYTES)
 
 
-def _read_chunks(fd: int, size: int) -> Iterator[bytes]:
-    """Yield the first `size` bytes of fd, each read capped at CHUNK_BYTES and at what is left.
+class _Sink:
+    """Counts bytes, hashes them unless told not to, then hands them to `write` if there is one.
+
+    With a limit, the bytes that pass it set `overflow` and go no further.
+    Without a hash the caller's payload digest already covers these bytes.
+    """
+
+    def __init__(
+        self,
+        write: Callable[[bytes], object] | None = None,
+        hashed: bool = True,
+        limit: int | None = None,
+    ) -> None:
+        self.size = 0
+        self.hash = hashlib.sha256() if hashed else None
+        self.limit = limit
+        self.overflow = False
+        self._write = write
+
+    def feed(self, data: bytes) -> None:
+        self.size += len(data)
+        if self.limit is not None and self.size > self.limit:
+            self.overflow = True
+            return
+        if self.hash is not None:
+            self.hash.update(data)
+        if self._write is not None:
+            self._write(data)
+
+
+def _read_chunks(fd: int, size: int, sink: _Sink) -> Iterator[bytes]:
+    """Yield the next `size` bytes of fd, each read capped at CHUNK_BYTES and fed to sink first.
 
     Stops early if the file ends first; the caller's digests then show it.
     """
@@ -73,22 +104,8 @@ def _read_chunks(fd: int, size: int) -> Iterator[bytes]:
         if not chunk:
             return
         left -= len(chunk)
+        sink.feed(chunk)
         yield chunk
-
-
-class _Counted:
-    """Counts and hashes bytes, then hands them to `write` if there is one."""
-
-    def __init__(self, write: Callable[[bytes], object] | None = None) -> None:
-        self.size = 0
-        self.hash = hashlib.sha256()
-        self._write = write
-
-    def feed(self, data: bytes) -> None:
-        self.size += len(data)
-        self.hash.update(data)
-        if self._write is not None:
-            self._write(data)
 
 
 # ---------- encode ----------
@@ -100,28 +117,6 @@ class Encoded(NamedTuple):
     plain_sha256: str
     payload_size: int
     payload_sha256: str
-
-
-class _Seal:
-    """AES-256-GCM encryption stage: nonce, then ciphertext, then tag."""
-
-    def __init__(self, key: bytes, out: _Counted) -> None:
-        nonce = os.urandom(NONCE_BYTES)
-        self._encryptor = Cipher(algorithms.AES(key), modes.GCM(nonce)).encryptor()
-        self._sealed = 0
-        self._out = out
-        out.feed(nonce)
-
-    def feed(self, data: bytes) -> None:
-        self._sealed += len(data)
-        if self._sealed > GCM_MAX_BYTES:
-            raise ConfigError(
-                f"ciphertext over {GCM_MAX_BYTES:,} bytes exceeds AES-GCM's single-nonce limit"
-            )
-        self._out.feed(self._encryptor.update(data))
-
-    def finish(self) -> None:
-        self._out.feed(self._encryptor.finalize() + self._encryptor.tag)
 
 
 def encode_file(
@@ -137,28 +132,40 @@ def encode_file(
     deflate output does not depend on how its input is split. Under codec
     none they are the input itself, so one digest serves both.
     """
-    out = _Counted(write)
-    seal = None
+    out = _Sink(write)
+    if chain == (CODEC_NONE,):
+        for _ in _read_chunks(fd, size, out):
+            pass
+        digest = out.hash.hexdigest()
+        return Encoded(out.size, digest, out.size, digest)
+    encryptor = None
     if is_encrypted(chain):
         if key is None:
             raise ValueError("codec chain encrypts but no key was derived")
-        seal = _Seal(key, out)
-    stage = seal.feed if seal is not None else out.feed
+        nonce = os.urandom(NONCE_BYTES)
+        encryptor = Cipher(algorithms.AES(key), modes.GCM(nonce)).encryptor()
+        out.feed(nonce)
+
+    def seal(data: bytes) -> None:
+        if encryptor is not None:
+            if out.size - NONCE_BYTES + len(data) > GCM_MAX_BYTES:
+                raise ConfigError(
+                    f"ciphertext over {GCM_MAX_BYTES:,} bytes exceeds AES-GCM's single-nonce limit"
+                )
+            data = encryptor.update(data)
+        out.feed(data)
+
     compressor = None
     if CODEC_DEFLATE in chain:
         compressor = zlib.compressobj(DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
-    plain = out if chain == (CODEC_NONE,) else _Counted()
-    for chunk in _read_chunks(fd, size):
-        if plain is not out:
-            plain.feed(chunk)
-        stage(compressor.compress(chunk) if compressor is not None else chunk)
+    plain = _Sink()
+    for chunk in _read_chunks(fd, size, plain):
+        seal(compressor.compress(chunk) if compressor is not None else chunk)
     if compressor is not None:
-        stage(compressor.flush())
-    if seal is not None:
-        seal.finish()
-    payload_sha256 = out.hash.hexdigest()
-    plain_sha256 = payload_sha256 if plain is out else plain.hash.hexdigest()
-    return Encoded(plain.size, plain_sha256, out.size, payload_sha256)
+        seal(compressor.flush())
+    if encryptor is not None:
+        out.feed(encryptor.finalize() + encryptor.tag)
+    return Encoded(plain.size, plain.hash.hexdigest(), out.size, out.hash.hexdigest())
 
 
 # ---------- decode ----------
@@ -180,36 +187,6 @@ class Decoded(NamedTuple):
     overflow: bool
 
 
-class _Plain:
-    """The decoded output: counted, and hashed and written until it passes `limit`.
-
-    Without a hash the caller's payload digest already covers these bytes.
-    """
-
-    def __init__(
-        self, limit: int, write: Callable[[bytes], object] | None, hashed: bool
-    ) -> None:
-        self.limit = limit
-        self.overflow = False
-        self.size = 0
-        self.hash = hashlib.sha256() if hashed else None
-        self._write = write
-
-    def room(self) -> int:
-        """Bytes that may still arrive before the output has passed the limit."""
-        return self.limit + 1 - self.size
-
-    def feed(self, data: bytes) -> None:
-        self.size += len(data)
-        if self.size > self.limit:
-            self.overflow = True
-            return
-        if self.hash is not None:
-            self.hash.update(data)
-        if self._write is not None:
-            self._write(data)
-
-
 class _Inflate:
     """Deflate decoding stage.
 
@@ -217,21 +194,22 @@ class _Inflate:
     size, so a forged stream cannot make it allocate or work without limit.
     """
 
-    def __init__(self, plain: _Plain) -> None:
+    def __init__(self, plain: _Sink) -> None:
         self._decompressor = zlib.decompressobj(-zlib.MAX_WBITS)
         self._plain = plain
         self.error: str | None = None
 
     def feed(self, data: bytes) -> None:
         z = self._decompressor
+        plain = self._plain
         try:
-            while self.error is None and not self._plain.overflow:
-                room = min(CHUNK_BYTES, self._plain.room())
+            while self.error is None and not plain.overflow:
+                room = min(CHUNK_BYTES, plain.limit + 1 - plain.size)
                 out = z.decompress(data, room)
                 if z.unused_data:
                     self.error = "data after the end of the deflate stream"
                     return
-                self._plain.feed(out)
+                plain.feed(out)
                 data = z.unconsumed_tail
                 if z.eof or (not data and len(out) < room):
                     return
@@ -243,54 +221,30 @@ class _Inflate:
             self.error = "deflate stream is truncated"
 
 
-class _Open:
-    """AES-256-GCM decryption stage over a payload of known size.
+def _decrypt(
+    fd: int, size: int, key: bytes, payload: _Sink, feed: Callable[[bytes], None]
+) -> str | None:
+    """Read an AES-256-GCM payload as its nonce, ciphertext and tag, handing feed() the plaintext.
 
-    Bytes are routed by offset, so any read size works: the first
-    NONCE_BYTES are the nonce, the last TAG_BYTES the tag, the rest ciphertext.
+    Returns the GCM error, if any. A payload declared too short for nonce
+    and tag is left unread; one that ends early is read up to its end.
     """
-
-    def __init__(self, key: bytes, size: int, feed: Callable[[bytes], None]) -> None:
-        self._key = key
-        self._body_end = size - TAG_BYTES
-        self._offset = 0
-        self._nonce = bytearray()
-        self._tag = bytearray()
-        self._decryptor = None
-        self._feed = feed
-        self.error: str | None = None
-        if size < NONCE_BYTES + TAG_BYTES:
-            self.error = "ciphertext shorter than nonce plus tag"
-
-    def feed(self, data: bytes) -> None:
-        if self.error is not None:
-            return
-        start = self._offset
-        self._offset += len(data)
-        view = memoryview(data)
-
-        def part(first: int, end: int) -> memoryview:
-            return view[max(first - start, 0) : max(end - start, 0)]
-
-        self._nonce += part(0, NONCE_BYTES)
-        if self._decryptor is None and len(self._nonce) == NONCE_BYTES:
-            cipher = Cipher(algorithms.AES(self._key), modes.GCM(bytes(self._nonce)))
-            self._decryptor = cipher.decryptor()
-        body = part(NONCE_BYTES, self._body_end)
-        if body:
-            self._feed(self._decryptor.update(body))
-        self._tag += part(self._body_end, self._body_end + TAG_BYTES)
-
-    def finish(self) -> None:
-        if self.error is not None:
-            return
-        if len(self._tag) != TAG_BYTES:
-            self.error = "payload ended before its tag"
-            return
-        try:
-            self._feed(self._decryptor.finalize_with_tag(bytes(self._tag)))
-        except InvalidTag:
-            self.error = "authentication failed: wrong passphrase or corrupt payload"
+    if size < NONCE_BYTES + TAG_BYTES:
+        return "ciphertext shorter than nonce plus tag"
+    nonce = b"".join(_read_chunks(fd, NONCE_BYTES, payload))
+    if len(nonce) < NONCE_BYTES:
+        return "payload ended before its tag"
+    decryptor = Cipher(algorithms.AES(key), modes.GCM(nonce)).decryptor()
+    for chunk in _read_chunks(fd, size - NONCE_BYTES - TAG_BYTES, payload):
+        feed(decryptor.update(chunk))
+    tag = b"".join(_read_chunks(fd, TAG_BYTES, payload))
+    if len(tag) < TAG_BYTES:
+        return "payload ended before its tag"
+    try:
+        feed(decryptor.finalize_with_tag(tag))
+    except InvalidTag:
+        return "authentication failed: wrong passphrase or corrupt payload"
+    return None
 
 
 def decode_file(
@@ -308,39 +262,29 @@ def decode_file(
     the result. A GCM error is reported ahead of a deflate error, because
     deflate saw unauthenticated bytes.
     """
-    payload = _Counted()
+    payload = _Sink()
     plain = None
-    stages: list[_Inflate | _Open] = []  # outermost last
-    head = None
+    error = None
     if chain is not None:
+        encrypted = is_encrypted(chain)
+        if encrypted and key is None:
+            raise ValueError("codec chain encrypts but no key was derived")
         # Under codec none the plaintext is the payload: one digest serves both.
-        plain = _Plain(plain_limit, write, hashed=chain != (CODEC_NONE,))
-        head = plain.feed
-        if CODEC_DEFLATE in chain:
-            stages.append(_Inflate(plain))
-            head = stages[-1].feed
-        if is_encrypted(chain):
-            if key is None:
-                raise ValueError("codec chain encrypts but no key was derived")
-            stages.append(_Open(key, size, head))
-            head = stages[-1].feed
-
-    for chunk in _read_chunks(fd, size):
-        payload.feed(chunk)
-        if head is not None:
-            head(chunk)
-    stages.reverse()
-    for stage in stages:
-        stage.finish()
-    errors = [stage.error for stage in stages if stage.error is not None]
+        plain = _Sink(write, hashed=chain != (CODEC_NONE,), limit=plain_limit)
+        inflate = _Inflate(plain) if CODEC_DEFLATE in chain else None
+        feed = inflate.feed if inflate is not None else plain.feed
+        if encrypted:
+            error = _decrypt(fd, size, key, payload, feed)
+        else:
+            for chunk in _read_chunks(fd, size, payload):
+                feed(chunk)
+        if inflate is not None:
+            inflate.finish()
+            error = error or inflate.error
+    for _ in _read_chunks(fd, size - payload.size, payload):
+        pass  # a shallow read, or the rest of a payload too short for nonce and tag
     payload_sha256 = payload.hash.hexdigest()
     if plain is None:
         return Decoded(payload.size, payload_sha256, 0, _SHA256_EMPTY, None, False)
-    return Decoded(
-        payload_size=payload.size,
-        payload_sha256=payload_sha256,
-        plain_size=plain.size,
-        plain_sha256=plain.hash.hexdigest() if plain.hash is not None else payload_sha256,
-        error=errors[0] if errors else None,
-        overflow=plain.overflow,
-    )
+    plain_sha256 = plain.hash.hexdigest() if plain.hash is not None else payload_sha256
+    return Decoded(payload.size, payload_sha256, plain.size, plain_sha256, error, plain.overflow)

@@ -235,6 +235,26 @@ def test_pack_missing_source_is_config_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def one_line_error(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "source_name, flags",
+    [("data", ["--dataset", "x\ty"]), ("new\nline", []), ("bad\udcffutf8", [])],
+    ids=["tab-in-dataset", "newline-in-source-name", "undecodable-source-name"],
+)
+def test_pack_unstorable_dataset_label_is_config_error(tmp_path, capsys, source_name, flags):
+    source = tmp_path / source_name
+    source.mkdir()
+    (source / "a.txt").write_bytes(b"alpha")
+    destination = tmp_path / "brick"
+    assert main(["pack", str(source), str(destination), *flags]) == 2
+    err = capsys.readouterr().err
+    assert one_line_error(err) and "dataset name" in err
+    assert not destination.exists()
+
+
 # ---------- bench-io ----------
 
 def test_bench_io_write_then_verified_read(tmp_path, capsys):
@@ -292,6 +312,17 @@ def test_bench_io_read_before_write_is_config_error(tmp_path, capsys):
         "--size", "1M", "--no-direct",
     ])
     assert code == 3  # stat on a missing target
+    capsys.readouterr()
+
+
+def test_bench_io_seed_past_64_bits_is_config_error(tmp_path, capsys):
+    target = tmp_path / "F"
+    base = ["bench-io", "--op", "write", "--target", str(target), "--size", "64K", "--no-direct"]
+    assert main([*base, "--seed", str(2**64)]) == 2
+    err = capsys.readouterr().err
+    assert one_line_error(err) and "rng_seed" in err
+    assert not target.exists()
+    assert main([*base, "--seed", str(2**64 - 1)]) == 0
     capsys.readouterr()
 
 

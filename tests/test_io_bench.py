@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 from pathlib import Path
@@ -79,6 +80,12 @@ def test_stripe_set_validation():
         StripeSet(targets=(Path("a"),), stripe_unit_bytes=100)
 
 
+def test_spec_seed_must_fit_in_64_bits(tmp_path):
+    with pytest.raises(ConfigError, match="64 bits"):
+        spec_for(tmp_path, rng_seed=2**64)
+    assert spec_for(tmp_path, rng_seed=2**64 - 1).rng_seed == 2**64 - 1
+
+
 # ---------- pattern block ----------
 
 def test_fill_block_is_deterministic_and_positional():
@@ -93,6 +100,17 @@ def test_fill_block_is_deterministic_and_positional():
         fill_block(7, 0, 512, 32),
     }
     assert len(distinct) == 4
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1])
+def test_written_content_is_pinned_for_every_valid_seed(tmp_path, seed):
+    # Each 64 KiB block repeats SHA-256 of (tag, seed, target, block offset).
+    run_io_bench(spec_for(tmp_path, rng_seed=seed, target_bytes=256 * KB))
+    expected = b""
+    for offset in range(0, 256 * KB, 64 * KB):
+        key = b"brickkit-io" + seed.to_bytes(8, "big") + bytes(4) + offset.to_bytes(8, "big")
+        expected += hashlib.sha256(key).digest() * (64 * KB // 32)
+    assert (tmp_path / "disk.bin").read_bytes() == expected
 
 
 # ---------- accounting ----------

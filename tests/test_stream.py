@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from brickkit import brick as brick_mod
@@ -711,3 +712,92 @@ def test_codec_none_feeds_each_byte_to_sha256_once(tmp_path, monkeypatch):
         operation()
         assert sum(fed) == payload_bytes + entry_bytes
         assert len(made) == len(entries) + 1
+
+
+# ---------- each payload byte is read once ----------
+
+@pytest.mark.parametrize("chain", CHAINS, ids=CHAIN_IDS)
+def test_each_payload_byte_is_read_once(tmp_path, monkeypatch, chunk, chain):
+    source = tmp_path / "src"
+    source.mkdir()
+    for size in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5, 40_000):
+        (source / f"f{size:06d}").write_bytes(body(size, size))
+    brick_dir = tmp_path / "brick"
+    payload_bytes = do_pack(source, brick_dir, chain).payload_bytes
+    passphrase = passphrase_for(chain)
+    real_read = os.read
+    asked, got = [], []
+
+    def counting_read(fd, count):
+        asked.append(count)
+        data = real_read(fd, count)
+        got.append(len(data))
+        return data
+
+    monkeypatch.setattr(os, "read", counting_read)
+    for operation in (
+        lambda: verify(brick_dir),
+        lambda: verify(brick_dir, deep=True, passphrase=passphrase),
+        lambda: unpack(brick_dir, tmp_path / "out", passphrase=passphrase),
+    ):
+        asked.clear()
+        got.clear()
+        operation()
+        assert sum(got) == payload_bytes
+        assert max(asked) <= payload.CHUNK_BYTES
+
+
+# ---------- a payload cut short after its size was checked ----------
+
+TRUNCATED = "payload ended before its tag"
+
+
+def truncated_reference(data: bytes, size: int, chain, key) -> payload.Decoded:
+    """What decoding the first len(data) of a `size`-byte payload shows, whole-buffer.
+
+    The ciphertext is decrypted as AES-CTR from GCM's first counter block, so
+    no GCM code is shared with the decoder under test.
+    """
+    plain, error = data, None
+    if "aes-256-gcm" in chain:
+        plain, error = b"", TRUNCATED
+        if len(data) >= payload.NONCE_BYTES:
+            nonce = data[: payload.NONCE_BYTES]
+            body_end = size - payload.TAG_BYTES
+            counter = modes.CTR(nonce + (2).to_bytes(4, "big"))
+            plain = Cipher(algorithms.AES(key), counter).decryptor().update(
+                data[payload.NONCE_BYTES : body_end]
+            )
+    if "deflate" in chain:
+        decompressor = zlib.decompressobj(-zlib.MAX_WBITS)
+        plain = decompressor.decompress(plain)
+        if error is None and not decompressor.eof:
+            error = "deflate stream is truncated"
+    digest, plain_digest = hashlib.sha256(data).hexdigest(), hashlib.sha256(plain).hexdigest()
+    return payload.Decoded(len(data), digest, len(plain), plain_digest, error, False)
+
+
+@pytest.mark.parametrize("chain", CHAINS, ids=CHAIN_IDS)
+def test_a_payload_shorter_than_its_size_decodes_without_raising(tmp_path, chunk, chain):
+    source = tmp_path / "src"
+    source.mkdir()
+    (source / "f").write_bytes(body(3000, 9))
+    brick_dir = tmp_path / "brick"
+    result = do_pack(source, brick_dir, chain)
+    entry = result.manifest.entries[0]
+    key = payload.derive_key(PASSPHRASE, result.manifest.kdf) if passphrase_for(chain) else None
+    stored = (brick_dir / "f").read_bytes()
+    size = len(stored)
+    nonce, tag = payload.NONCE_BYTES, payload.TAG_BYTES
+    # In the nonce, at its end, in the ciphertext, at its end, in the tag.
+    cuts = [0, 5, nonce, nonce + 3, size // 2, size - tag, size - 5, size - 1]
+    for cut in cuts:
+        (brick_dir / "f").write_bytes(stored[:cut])
+        written = []
+        fd = os.open(brick_dir / "f", os.O_RDONLY)
+        try:
+            decoded = payload.decode_file(fd, size, chain, key, entry.plain_size, written.append)
+        finally:
+            os.close(fd)
+        assert decoded == truncated_reference(stored[:cut], size, chain, key), f"cut at {cut}"
+        assert len(b"".join(written)) == decoded.plain_size
