@@ -13,6 +13,7 @@ bytes are recoverable (authentication, decompression, plaintext digest).
 from __future__ import annotations
 
 import contextlib
+import errno
 import functools
 import os
 import stat
@@ -101,14 +102,31 @@ def _require_empty_dir(target: Path, what: str) -> None:
             raise ConfigError(f"{what} {target} is not empty")
 
 
-def _walk(root: str, prefix: str = "") -> Iterator[tuple[str, os.DirEntry]]:
-    """(relative path, entry) for each entry below root, sorted; symlinks are not followed."""
-    with os.scandir(root) as listing:
-        children = sorted(listing, key=lambda child: child.name)
-    for child in children:
-        yield prefix + child.name, child
-        if child.is_dir(follow_symlinks=False):
-            yield from _walk(child.path, f"{prefix}{child.name}/")
+def _walk(root: str) -> Iterator[tuple[str, os.DirEntry]]:
+    """(relative path, entry) for each entry below root, sorted; symlinks are not followed.
+
+    A directory comes just before what it holds. The walk keeps its own
+    stack, so no tree is too deep for it.
+    """
+
+    def listing(directory: str) -> Iterator[os.DirEntry]:
+        with os.scandir(directory) as entries:
+            return iter(sorted(entries, key=lambda child: child.name))
+
+    stack = [("", listing(root))]
+    while stack:
+        prefix, children = stack[-1]
+        for child in children:
+            yield prefix + child.name, child
+            if child.is_dir(follow_symlinks=False):
+                stack.append((f"{prefix}{child.name}/", listing(child.path)))
+                break  # descend; this directory's iterator resumes afterwards
+        else:
+            stack.pop()
+
+
+def _not_regular(relative: str) -> ConfigError:
+    return ConfigError(f"{relative}: only regular files can be packed")
 
 
 def _collect_source(source_dir: Path) -> tuple[list[tuple[str, str, int]], list[str]]:
@@ -117,12 +135,17 @@ def _collect_source(source_dir: Path) -> tuple[list[tuple[str, str, int]], list[
     directories: list[str] = []
     seen: dict[str, str] = {}
     for relative, child in _walk(str(source_dir)):
+        try:
+            relative.encode("utf-8")
+        except UnicodeEncodeError:  # a manifest line is UTF-8, so the name cannot be stored
+            shown = os.fsencode(relative).decode("utf-8", "backslashreplace")
+            raise ConfigError(f"{shown}: name is not valid UTF-8") from None
         stored = unicodedata.normalize("NFC", relative)
         if child.is_dir(follow_symlinks=False):
             directories.append(stored)
             continue
         if not child.is_file(follow_symlinks=False):
-            raise ConfigError(f"{relative}: only regular files can be packed")
+            raise _not_regular(relative)
         try:
             check_relative_path(stored)
         except ValueError as exc:
@@ -241,13 +264,22 @@ def pack(
 
     def store(item: tuple[str, str, int]) -> ChunkEntry:
         stored, real, _ = item
-        source = os.open(real, os.O_RDONLY)
         try:
+            # The tree may have changed since the walk: a FIFO in a file's place
+            # must not block the open, nor a link be followed; fstat checks the rest.
+            source = os.open(real, os.O_RDONLY | os.O_NONBLOCK | os.O_NOFOLLOW)
+        except OSError as exc:
+            if exc.errno != errno.ELOOP:
+                raise
+            raise _not_regular(stored) from None
+        try:
+            info = os.fstat(source)
+            if not stat.S_ISREG(info.st_mode):
+                raise _not_regular(stored)
             sink = os.open(f"{brick_dir}/{stored}", os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
             try:
-                size = os.fstat(source).st_size
                 write = functools.partial(_write_all, sink)
-                encoded = payload_mod.encode_file(source, size, write, chain, key)
+                encoded = payload_mod.encode_file(source, info.st_size, write, chain, key)
             except ConfigError as exc:
                 raise ConfigError(f"{stored}: {exc}") from None
             finally:

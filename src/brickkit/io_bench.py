@@ -214,19 +214,17 @@ class _Reservoir:
         self._seen = 0
         self._max = 0.0
         self._rng = random.Random(seed ^ 0x5EED)
-        self._lock = threading.Lock()
 
     def add(self, value: float) -> None:
-        with self._lock:
-            self._seen += 1
-            if value > self._max:
-                self._max = value
-            if len(self._samples) < LATENCY_SAMPLE_CAP:
-                self._samples.append(value)
-            else:
-                slot = self._rng.randrange(self._seen)
-                if slot < LATENCY_SAMPLE_CAP:
-                    self._samples[slot] = value
+        self._seen += 1
+        if value > self._max:
+            self._max = value
+        if len(self._samples) < LATENCY_SAMPLE_CAP:
+            self._samples.append(value)
+        else:
+            slot = self._rng.randrange(self._seen)
+            if slot < LATENCY_SAMPLE_CAP:
+                self._samples[slot] = value
 
     def summary(self) -> LatencySummary:
         if not self._samples:
@@ -249,7 +247,9 @@ class _WorkStream:
     pass after pass; random runs draw each chunk from a generator seeded
     with rng_seed. Claims happen under one lock, so the claimed sequence
     is reproducible from the seed, and the in-flight counter's high-water
-    mark is an upper bound witness for the depth contract.
+    mark is an upper bound witness for the depth contract. A claim also
+    adds the caller's last latency to the reservoir, which has no lock of
+    its own, so each IO takes one lock.
     """
 
     def __init__(
@@ -257,23 +257,28 @@ class _WorkStream:
         spec: BenchSpec,
         chunks: int,
         place: Callable[[int], tuple[int, int]],
-        limit: int | None,
-        deadline: float | None,
         record: bool,
     ):
         self._chunks = chunks
         self._place = place
         self._rng = random.Random(spec.rng_seed) if spec.pattern == PATTERN_RANDOM else None
-        self._remaining = limit
-        self._deadline = deadline
+        if spec.pass_count is not None:
+            self._remaining, self._deadline = spec.pass_count * chunks, None
+        else:
+            self._remaining, self._deadline = None, time.perf_counter() + spec.duration_seconds
         self._recorded: list[tuple[int, int]] | None = [] if record else None
         self._lock = threading.Lock()
         self._in_flight = 0
+        self.latencies = _Reservoir(spec.rng_seed)
         self.high_water = 0
         self.claimed = 0
 
-    def claim(self) -> tuple[int, int] | None:
+    def claim(self, latency: float | None) -> tuple[int, int] | None:
+        """Retire the caller's last IO (latency in us, None at first) and hand out the next pair."""
         with self._lock:
+            if latency is not None:
+                self.latencies.add(latency)
+                self._in_flight -= 1
             if self._remaining is not None:
                 if self._remaining == 0:
                     return None
@@ -292,10 +297,6 @@ class _WorkStream:
                 self.high_water = self._in_flight
             return pair
 
-    def done(self) -> None:
-        with self._lock:
-            self._in_flight -= 1
-
     def poison(self) -> None:
         """Stop handing out work; a worker failed and the run is void."""
         with self._lock:
@@ -308,91 +309,71 @@ class _WorkStream:
 
 
 def _open_targets(spec: BenchSpec, size: int) -> tuple[list[int], bool]:
-    """Open every target, preferring cache-bypassing opens when asked.
+    """Open every target once, preferring cache-bypassing opens when asked.
 
     Falls back to buffered IO for the whole run if any target refuses the
-    bypass flag (tmpfs and many network filesystems do).
+    bypass flag (tmpfs and many network filesystems do). A write run sizes
+    each target through the descriptor it writes with; a read run checks
+    each size on the descriptor it reads.
     """
-    if spec.op == OP_WRITE:
-        for target in spec.targets:
-            fd = os.open(target, os.O_WRONLY | os.O_CREAT, 0o644)
-            try:
-                os.truncate(fd, size)
-                if hasattr(os, "posix_fallocate"):
-                    try:
-                        os.posix_fallocate(fd, 0, size)
-                    except OSError:
-                        pass  # allocation is an optimization, not a contract
-            finally:
-                os.close(fd)
-    else:
-        for target in spec.targets:
-            actual = os.stat(target).st_size
-            if actual < size:
-                raise ConfigError(
-                    f"{target} is {actual} bytes but the run needs {size};"
-                    " run a write pass first"
-                )
-
-    base = os.O_RDONLY if spec.op == OP_READ else os.O_WRONLY
-    for bypass in ([True, False] if spec.cache_bypass and hasattr(os, "O_DIRECT") else [False]):
-        flags = base | (os.O_DIRECT if bypass else 0)
+    flags = os.O_RDONLY if spec.op == OP_READ else os.O_WRONLY | os.O_CREAT
+    bypass = spec.cache_bypass and hasattr(os, "O_DIRECT")
+    while True:
         fds: list[int] = []
         try:
             for target in spec.targets:
-                fds.append(os.open(target, flags))
+                fds.append(os.open(target, flags | (os.O_DIRECT if bypass else 0), 0o644))
+                if spec.op == OP_WRITE:
+                    os.ftruncate(fds[-1], size)
+                    if hasattr(os, "posix_fallocate"):
+                        try:
+                            os.posix_fallocate(fds[-1], 0, size)
+                        except OSError:
+                            pass  # allocation is an optimization, not a contract
+                elif (actual := os.fstat(fds[-1]).st_size) < size:
+                    raise ConfigError(
+                        f"{target} is {actual} bytes but the run needs {size};"
+                        " run a write pass first"
+                    )
             return fds, bypass
-        except OSError:
+        except BaseException as exc:
             for fd in fds:
                 os.close(fd)
-            if not bypass:
+            if not (bypass and isinstance(exc, OSError)):
                 raise
-    raise AssertionError("unreachable")
+        bypass = False  # a target refused the bypass: retry them all buffered
 
 
-def _worker(spec: BenchSpec, stream: _WorkStream, fds: list[int], reservoir: _Reservoir) -> None:
+def _worker(spec: BenchSpec, stream: _WorkStream, fds: list[int]) -> None:
     # Page-aligned private buffer per worker; O_DIRECT requires alignment.
     buffer = mmap.mmap(-1, spec.block_bytes)
+    transfer = os.pwritev if spec.op == OP_WRITE else os.preadv
+    latency = None
     try:
-        while (pair := stream.claim()) is not None:
+        while (pair := stream.claim(latency)) is not None:
             target, offset = pair
-            try:
-                _one_io(spec, fds, reservoir, buffer, target, offset)
-            except BaseException:
-                stream.poison()
-                raise
-            finally:
-                stream.done()
+            if spec.op == OP_WRITE:
+                buffer[:] = fill_block(spec.rng_seed, target, offset, spec.block_bytes)
+            started = time.perf_counter()
+            moved = transfer(fds[target], [buffer], offset)
+            latency = (time.perf_counter() - started) * 1e6
+            if moved != spec.block_bytes:
+                raise OSError(f"short {spec.op} on {spec.targets[target]} at {offset}")
+            if spec.verify_pattern:
+                expected = fill_block(spec.rng_seed, target, offset, spec.block_bytes)
+                if buffer[: spec.block_bytes] != expected:
+                    position = next(
+                        i for i in range(spec.block_bytes) if buffer[i] != expected[i]
+                    )
+                    raise IntegrityError(
+                        f"pattern mismatch on {spec.targets[target]}"
+                        f" at byte {offset + position}"
+                    )
+    except BaseException:
+        stream.poison()
+        raise
     finally:
         buffer.close()
-
-
-def _one_io(
-    spec: BenchSpec,
-    fds: list[int],
-    reservoir: _Reservoir,
-    buffer: mmap.mmap,
-    target: int,
-    offset: int,
-) -> None:
-    if spec.op == OP_WRITE:
-        buffer[:] = fill_block(spec.rng_seed, target, offset, spec.block_bytes)
-    transfer = os.pwritev if spec.op == OP_WRITE else os.preadv
-    started = time.perf_counter()
-    moved = transfer(fds[target], [buffer], offset)
-    reservoir.add((time.perf_counter() - started) * 1e6)
-    if moved != spec.block_bytes:
-        raise OSError(f"short {spec.op} on {spec.targets[target]} at {offset}")
-    if spec.verify_pattern:
-        expected = fill_block(spec.rng_seed, target, offset, spec.block_bytes)
-        if buffer[: spec.block_bytes] != expected:
-            position = next(
-                i for i in range(spec.block_bytes) if buffer[i] != expected[i]
-            )
-            raise IntegrityError(
-                f"pattern mismatch on {spec.targets[target]}"
-                f" at byte {offset + position}"
-            )
 
 
 def _execute(
@@ -408,19 +389,10 @@ def _execute(
     """
     fds, bypass = _open_targets(spec, place(chunks - 1)[1] + spec.block_bytes)
     try:
-        if spec.pass_count is not None:
-            limit, deadline = spec.pass_count * chunks, None
-        else:
-            limit, deadline = None, time.perf_counter() + spec.duration_seconds
-
-        reservoir = _Reservoir(spec.rng_seed)
-        stream = _WorkStream(spec, chunks, place, limit, deadline, record_offsets)
+        stream = _WorkStream(spec, chunks, place, record_offsets)
         started = time.perf_counter()
         with ThreadPoolExecutor(max_workers=spec.queue_depth) as pool:
-            futures = [
-                pool.submit(_worker, spec, stream, fds, reservoir)
-                for _ in range(spec.queue_depth)
-            ]
+            futures = [pool.submit(_worker, spec, stream, fds) for _ in range(spec.queue_depth)]
             for future in futures:
                 future.result()
         if spec.op == OP_WRITE and not bypass:
@@ -438,7 +410,7 @@ def _execute(
         io_count=stream.claimed,
         depth_high_water=stream.high_water,
         cache_bypass=bypass,
-        latency=reservoir.summary(),
+        latency=stream.latencies.summary(),
         offsets=stream.recorded(),
     )
 

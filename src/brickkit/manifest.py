@@ -306,8 +306,6 @@ def parse_manifest(data: bytes) -> Manifest:
     if not data.endswith(b"\n"):
         raise ManifestError("truncated: missing final newline")
     raw_lines = data.split(b"\n")[:-1]
-    if not raw_lines:
-        raise ManifestError("empty manifest")
 
     def text(index: int) -> str:
         try:

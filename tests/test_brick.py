@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import random
@@ -409,3 +410,69 @@ def test_v1_bytes_are_pinned(tmp_path, monkeypatch, chain, chunk_bytes):
     for entry in result.manifest.entries:
         stored = (brick_dir / entry.path).read_bytes()
         assert hashlib.sha256(stored).hexdigest() == entry.payload_sha256
+
+
+# ---------- deep trees ----------
+
+DEEP = 1_100  # past Python's default recursion limit of 1,000; the path is about 2.2 KB
+
+
+def plant_deep_chain(root: Path, body: bytes) -> str:
+    """Make DEEP nested directories named d under root, with a file at the bottom.
+
+    Built through dir_fd opens, because os.makedirs recurses once per level.
+    Returns the file's path relative to root.
+    """
+    fd = os.open(root, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        for _ in range(DEEP):
+            os.mkdir("d", dir_fd=fd)
+            inner = os.open("d", os.O_RDONLY | os.O_DIRECTORY, dir_fd=fd)
+            os.close(fd)
+            fd = inner
+        leaf = os.open("leaf", os.O_WRONLY | os.O_CREAT, 0o644, dir_fd=fd)
+        os.write(leaf, body)
+        os.close(leaf)
+    finally:
+        os.close(fd)
+    return "d/" * DEEP + "leaf"
+
+
+def remove_deep_chain(root: Path) -> None:
+    """Remove a chain plant_deep_chain made, bottom up; shutil.rmtree recurses too."""
+    for depth in range(DEEP, 0, -1):
+        level = f"{root}/" + "/".join(["d"] * depth)
+        with contextlib.suppress(FileNotFoundError):
+            for name in os.listdir(level):
+                if name != "d":
+                    os.unlink(f"{level}/{name}")
+            os.rmdir(level)
+
+
+@pytest.mark.parametrize("chain", [("none",), ("deflate", "aes-256-gcm")], ids=["none", "sealed"])
+def test_a_tree_deeper_than_the_recursion_limit_round_trips(tmp_path, chain):
+    source, brick_dir, out = tmp_path / "src", tmp_path / "brick", tmp_path / "out"
+    source.mkdir()
+    (source / "top.txt").write_bytes(b"top")
+    try:
+        relative = plant_deep_chain(source, b"at the bottom")
+        result = do_pack(source, brick_dir, chain)
+        assert [e.path for e in result.manifest.entries] == [relative, "top.txt"]
+        passphrase = "sesame" if "aes-256-gcm" in chain else None
+        assert verify(brick_dir, deep=True, passphrase=passphrase).ok
+        unpack(brick_dir, out, passphrase=passphrase)
+        assert (out / relative).read_bytes() == b"at the bottom"
+        assert (out / "top.txt").read_bytes() == b"top"
+    finally:
+        for root in (source, brick_dir, out):
+            remove_deep_chain(root)
+
+
+def test_verify_reports_a_planted_deep_directory(tmp_path):
+    brick_dir, _ = packed_brick(tmp_path)
+    try:
+        relative = plant_deep_chain(brick_dir, b"stowaway")
+        report = verify(brick_dir)
+        assert [(f.path, f.kind) for f in report.findings] == [(relative, KIND_EXTRA)]
+    finally:
+        remove_deep_chain(brick_dir)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import socket
 import struct
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from brickkit import brick as brick_mod
 from brickkit.cli import _append_csv, main
 from brickkit.net_bench import HANDSHAKE
 from conftest import FAST_KDF_ITERATIONS
@@ -252,6 +254,64 @@ def test_pack_unstorable_dataset_label_is_config_error(tmp_path, capsys, source_
     assert main(["pack", str(source), str(destination), *flags]) == 2
     err = capsys.readouterr().err
     assert one_line_error(err) and "dataset name" in err
+    assert not destination.exists()
+
+
+def test_pack_refuses_a_name_that_is_not_utf8(tmp_path, capsys):
+    source = make_tree(tmp_path)
+    (source / "sub" / "a\udcffb").write_bytes(b"x")  # the bytes a, 0xff, b on disk
+    destination = tmp_path / "brick"
+    assert main(["pack", str(source), str(destination)]) == 2
+    err = capsys.readouterr().err
+    assert one_line_error(err) and "sub/a\\xffb" in err and "UTF-8" in err
+    assert not destination.exists()
+
+
+def test_pack_refuses_two_spellings_of_one_name(tmp_path, capsys):
+    source = tmp_path / "src"
+    source.mkdir()
+    composed, decomposed = "caf\u00e9", "cafe\u0301"
+    (source / composed).write_bytes(b"composed")
+    (source / decomposed).write_bytes(b"decomposed")
+    destination = tmp_path / "brick"
+    assert main(["pack", str(source), str(destination)]) == 2
+    err = capsys.readouterr().err
+    assert one_line_error(err) and repr(composed) in err and repr(decomposed) in err
+    assert not destination.exists()
+
+
+@pytest.mark.parametrize("swap", ["fifo", "symlink"])
+def test_pack_refuses_a_file_swapped_after_the_walk(tmp_path, capsys, monkeypatch, swap):
+    source = make_tree(tmp_path)
+    victim = source / "sub" / "b.bin"
+    outside = tmp_path / "outside.txt"
+    outside.write_bytes(b"not part of the tree")
+    collect = brick_mod._collect_source
+
+    def collect_then_swap(source_dir):
+        found = collect(source_dir)
+        victim.unlink()
+        if swap == "fifo":
+            os.mkfifo(victim)
+        else:
+            victim.symlink_to(outside)
+        return found
+
+    monkeypatch.setattr(brick_mod, "_collect_source", collect_then_swap)
+    destination = tmp_path / "brick"
+    codes = []
+    runner = threading.Thread(
+        target=lambda: codes.append(main(["pack", str(source), str(destination)])), daemon=True
+    )
+    runner.start()
+    runner.join(timeout=10)
+    if runner.is_alive():
+        os.close(os.open(victim, os.O_WRONLY | os.O_NONBLOCK))  # give the blocked reader EOF
+        runner.join(timeout=10)
+        pytest.fail("pack blocked on a FIFO that took a source file's place")
+    assert codes == [2]
+    err = capsys.readouterr().err
+    assert one_line_error(err) and "sub/b.bin: only regular files can be packed" in err
     assert not destination.exists()
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import os
 import random
@@ -390,3 +391,47 @@ def test_reservoir_downsamples_but_keeps_exact_max(monkeypatch):
 def test_empty_reservoir_is_all_zero():
     summary = _Reservoir(seed=0).summary()
     assert (summary.p50_us, summary.max_us, summary.method) == (0.0, 0.0, "complete")
+
+
+# ---------- opening targets ----------
+
+def test_a_target_that_refuses_the_bypass_runs_buffered(tmp_path, monkeypatch):
+    real_open = os.open
+
+    def no_direct(path, flags, *args, **kwargs):
+        if flags & getattr(os, "O_DIRECT", 0):
+            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL), str(path))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", no_direct)
+    write = run_io_bench(spec_for(tmp_path, cache_bypass=True, rng_seed=7))
+    read = run_io_bench(
+        spec_for(tmp_path, op="read", verify_pattern=True, cache_bypass=True, rng_seed=7)
+    )
+    assert (write.cache_bypass, read.cache_bypass) == (False, False)
+    assert (write.io_count, read.io_count) == (64, 64)
+    with pytest.raises(OSError):
+        run_io_bench(spec_for(tmp_path, op="read", cache_bypass=True, name="ghost.bin"))
+
+
+def test_a_plain_run_opens_each_target_once_and_stats_none(tmp_path, monkeypatch):
+    targets = (tmp_path / "a.bin", tmp_path / "b.bin", tmp_path / "c.bin")
+    names = {str(target) for target in targets}
+    opened, statted = [], []
+    real_open, real_stat = os.open, os.stat
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return real_open(path, *args, **kwargs)
+
+    def counting_stat(path, *args, **kwargs):
+        statted.append(str(path))
+        return real_stat(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", counting_open)
+    monkeypatch.setattr(os, "stat", counting_stat)
+    for op in ("write", "read"):
+        opened.clear()
+        run_io_bench(spec_for(tmp_path, op=op, targets=targets, target_bytes=MB))
+        assert sorted(opened) == sorted(names)
+        assert names.isdisjoint(statted)

@@ -665,6 +665,27 @@ def test_a_full_disk_during_unpack_leaves_no_scratch_file(tmp_path, monkeypatch,
     assert leftovers(tmp_path / "cli-out") == []
 
 
+@pytest.mark.parametrize("chain", [c for c in CHAINS if "aes-256-gcm" in c], ids=CHAIN_IDS[2:])
+@pytest.mark.parametrize("size", [0, payload.NONCE_BYTES + payload.TAG_BYTES - 1])
+def test_an_encrypted_payload_shorter_than_nonce_plus_tag(
+    tmp_path, capsys, monkeypatch, chain, size
+):
+    source = short_tree(tmp_path)
+    brick_dir = tmp_path / "brick"
+    do_pack(source, brick_dir, chain)
+    reseal(brick_dir, "d/b", bytes(size))
+    assert verify(brick_dir).ok  # the stored bytes are the ones the manifest vouches for
+    report = verify(brick_dir, deep=True, passphrase=PASSPHRASE)
+    assert [(f.path, f.kind, f.detail) for f in report.findings] == [
+        ("d/b", KIND_DECODE, "ciphertext shorter than nonce plus tag")
+    ]
+    monkeypatch.setenv("BRICK_TEST_PASS", PASSPHRASE)
+    out = tmp_path / "out"
+    assert main(["unpack", str(brick_dir), str(out), "--passphrase-env", "BRICK_TEST_PASS"]) == 1
+    assert "ciphertext shorter than nonce plus tag" in capsys.readouterr().err
+    assert not [name for name in leftovers(out) if name.endswith(".part")]
+
+
 # ---------- one SHA-256 pass per payload byte ----------
 
 def test_codec_none_feeds_each_byte_to_sha256_once(tmp_path, monkeypatch):
