@@ -129,9 +129,14 @@ def _not_regular(relative: str) -> ConfigError:
     return ConfigError(f"{relative}: only regular files can be packed")
 
 
-def _collect_source(source_dir: Path) -> tuple[list[tuple[str, str, int]], list[str]]:
-    """Map the tree's files to (stored path, real path, size), and list its directories."""
-    found: list[tuple[str, str, int]] = []
+def _collect_source(
+    source_dir: Path,
+) -> tuple[list[tuple[str, str, int, tuple[int, int]]], list[str]]:
+    """Map the tree's files to (stored path, real path, size, identity), and list its directories.
+
+    identity is the walk's (st_dev, st_ino), which pack checks against the file it opens.
+    """
+    found: list[tuple[str, str, int, tuple[int, int]]] = []
     directories: list[str] = []
     seen: dict[str, str] = {}
     for relative, child in _walk(str(source_dir)):
@@ -157,7 +162,8 @@ def _collect_source(source_dir: Path) -> tuple[list[tuple[str, str, int]], list[
                 f"{relative!r} and {seen[stored]!r} normalize to the same stored path"
             )
         seen[stored] = relative
-        found.append((stored, child.path, child.stat(follow_symlinks=False).st_size))
+        info = child.stat(follow_symlinks=False)
+        found.append((stored, child.path, info.st_size, (info.st_dev, info.st_ino)))
     return found, directories
 
 
@@ -256,14 +262,14 @@ def pack(
     key = _resolve_key(chain, passphrase, kdf)
 
     files, all_directories = _collect_source(source_dir)
-    stored_paths = [stored for stored, _, _ in files]
+    stored_paths = [stored for stored, *_ in files]
     directories = _directories(stored_paths)
     empty_dirs = tuple(sorted(set(all_directories) - set(directories)))
     made_brick_dir = not brick_dir.exists()
     brick_dir.mkdir(parents=True, exist_ok=True)
 
-    def store(item: tuple[str, str, int]) -> ChunkEntry:
-        stored, real, _ = item
+    def store(item: tuple[str, str, int, tuple[int, int]]) -> ChunkEntry:
+        stored, real, _, identity = item
         try:
             # The tree may have changed since the walk: a FIFO in a file's place
             # must not block the open, nor a link be followed; fstat checks the rest.
@@ -276,6 +282,10 @@ def pack(
             info = os.fstat(source)
             if not stat.S_ISREG(info.st_mode):
                 raise _not_regular(stored)
+            # O_NOFOLLOW guards only the last component: a directory on the
+            # path may have become a link to another tree since the walk.
+            if (info.st_dev, info.st_ino) != identity:
+                raise ConfigError(f"{stored}: replaced after the source was walked")
             sink = os.open(f"{brick_dir}/{stored}", os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
             try:
                 write = functools.partial(_write_all, sink)

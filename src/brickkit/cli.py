@@ -75,9 +75,7 @@ def _append_csv(path: str, header: str, row: str) -> None:
         text = row + "\n"
         if os.fstat(fd).st_size == 0:
             text = header + "\n" + text
-        data = text.encode("utf-8")
-        while data:
-            data = data[os.write(fd, data):]
+        brick_mod._write_all(fd, text.encode("utf-8"))
     finally:
         os.close(fd)
 

@@ -128,6 +128,15 @@ def _check_pattern(chunk: bytes, position: int) -> None:
         raise IntegrityError(f"corrupt byte at stream position {position + bad}")
 
 
+def _stop_clock(
+    role: str, record_bytes: int, total: int, started: float, cpu_start: float
+) -> NetReport:
+    """Stop one end's clock (perf_counter) and thread CPU time (thread_time), and report."""
+    elapsed = max(time.perf_counter() - started, 1e-9)
+    cpu_used = time.thread_time() - cpu_start
+    return NetReport(role, record_bytes, elapsed, total, 100.0 * cpu_used / elapsed)
+
+
 def serve(
     spec: NetSpec,
     validate: bool = False,
@@ -158,27 +167,19 @@ def serve(
             if version != VERSION:
                 raise ProtocolError(f"unsupported protocol version {version}")
 
+            # ring[p % 256:] continues the pattern from stream position p for a whole buffer.
+            view = memoryview(bytearray(_RECV_CHUNK))
+            ring = _pattern_record(0, _RECV_CHUNK + 255) if validate else b""
             total = 0
             cpu_start = time.thread_time()
             started = time.perf_counter()
-            while True:
-                chunk = conn.recv(_RECV_CHUNK)
-                if not chunk:
-                    break
-                if validate:
-                    _check_pattern(chunk, total)
-                total += len(chunk)
-            elapsed = max(time.perf_counter() - started, 1e-9)
-            cpu_used = time.thread_time() - cpu_start
+            while count := conn.recv_into(view):
+                if validate and not ring.startswith(view[:count], total % 256):
+                    _check_pattern(bytes(view[:count]), total)
+                total += count
+            report = _stop_clock(ROLE_RECEIVE, record_bytes, total, started, cpu_start)
             conn.sendall(TRAILER.pack(total))
-
-    return NetReport(
-        role=ROLE_RECEIVE,
-        record_bytes=record_bytes,
-        elapsed_seconds=elapsed,
-        bytes_transferred=total,
-        cpu_percent=100.0 * cpu_used / elapsed,
-    )
+    return report
 
 
 def send(spec: NetSpec) -> NetReport:
@@ -197,15 +198,16 @@ def send(spec: NetSpec) -> NetReport:
         try:
             conn.sendall(HANDSHAKE.pack(MAGIC, VERSION, spec.record_bytes, spec.duration_ms))
 
+            # ring[p % 256:] continues the pattern from stream position p for a whole record.
+            ring = memoryview(_pattern_record(0, spec.record_bytes + 255))
             total = 0
             deadline_clock = spec.duration_ms / 1000.0
             cpu_start = time.thread_time()
             started = time.perf_counter()
             while time.perf_counter() - started < deadline_clock:
-                conn.sendall(_pattern_record(total, spec.record_bytes))
+                conn.sendall(ring[total % 256 : total % 256 + spec.record_bytes])
                 total += spec.record_bytes
-            elapsed = max(time.perf_counter() - started, 1e-9)
-            cpu_used = time.thread_time() - cpu_start
+            report = _stop_clock(ROLE_SEND, spec.record_bytes, total, started, cpu_start)
             conn.shutdown(socket.SHUT_WR)
             (echoed,) = TRAILER.unpack(_recv_exactly(conn, TRAILER.size, "trailer"))
         except socket.timeout:
@@ -218,10 +220,4 @@ def send(spec: NetSpec) -> NetReport:
         raise IntegrityError(
             f"byte count mismatch: sent {total}, receiver counted {echoed}"
         )
-    return NetReport(
-        role=ROLE_SEND,
-        record_bytes=spec.record_bytes,
-        elapsed_seconds=elapsed,
-        bytes_transferred=total,
-        cpu_percent=100.0 * cpu_used / elapsed,
-    )
+    return report

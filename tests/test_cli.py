@@ -315,6 +315,27 @@ def test_pack_refuses_a_file_swapped_after_the_walk(tmp_path, capsys, monkeypatc
     assert not destination.exists()
 
 
+def test_pack_refuses_a_directory_swapped_for_a_link_after_the_walk(tmp_path, capsys, monkeypatch):
+    source = make_tree(tmp_path)
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "b.bin").write_bytes(b"OUTSIDE")
+    collect = brick_mod._collect_source
+
+    def collect_then_swap(source_dir):
+        found = collect(source_dir)
+        (source / "sub").rename(tmp_path / "moved")
+        (source / "sub").symlink_to(outside, target_is_directory=True)
+        return found
+
+    monkeypatch.setattr(brick_mod, "_collect_source", collect_then_swap)
+    destination = tmp_path / "brick"
+    assert main(["pack", str(source), str(destination)]) == 2
+    err = capsys.readouterr().err
+    assert one_line_error(err) and "sub/b.bin: replaced after the source was walked" in err
+    assert not destination.exists()
+
+
 # ---------- bench-io ----------
 
 def test_bench_io_write_then_verified_read(tmp_path, capsys):

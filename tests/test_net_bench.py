@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import queue
 import socket
 import struct
@@ -114,6 +115,13 @@ def test_loopback_with_validation_passes():
     assert sender.bytes_transferred == receiver.bytes_transferred
 
 
+@pytest.mark.parametrize("record_bytes", [1, 1000, 65_537, net_bench.MAX_RECORD_BYTES])
+def test_validated_loopback_records_start_anywhere_in_the_pattern(record_bytes):
+    # Records of these sizes start at stream positions that are not multiples of 256.
+    sender, receiver = loopback_pair(record_bytes=record_bytes, validate=True)
+    assert sender.bytes_transferred == receiver.bytes_transferred
+
+
 def test_unit_law_bits_are_eight_times_bytes():
     report = NetReport(
         role="send", record_bytes=1, elapsed_seconds=2.0,
@@ -204,6 +212,20 @@ def test_validating_receiver_pinpoints_corruption():
     thread.join(timeout=10.0)
     assert isinstance(outcome["error"], IntegrityError)
     assert "stream position 1500" in str(outcome["error"])
+
+
+def test_validating_receiver_pinpoints_corruption_past_the_first_buffer():
+    port, thread, outcome = start_receiver(validate=True)
+    body = bytearray(_pattern_record(0, 2_000_000))
+    body[1_500_001] ^= 0xFF
+    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as conn:
+        conn.sendall(HANDSHAKE.pack(MAGIC, VERSION, 1000, 1000))
+        with contextlib.suppress(ConnectionError):  # the receiver hangs up at the bad byte
+            for start in range(0, len(body), 1000):
+                conn.sendall(body[start : start + 1000])
+    thread.join(timeout=10.0)
+    assert isinstance(outcome.get("error"), IntegrityError)
+    assert str(outcome["error"]).endswith("stream position 1500001")
 
 
 def test_sender_detects_count_mismatch():
