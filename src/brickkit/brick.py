@@ -28,6 +28,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from . import payload as payload_mod
 from .errors import ConfigError, IntegrityError
 from .manifest import (
+    CODEC_DEFLATE,
     DEFAULT_KDF_ITERATIONS,
     MANIFEST_FILENAME,
     ChunkEntry,
@@ -196,6 +197,9 @@ def _run_entries(
     payload.CHUNK_BYTES runs inline, where a hand-off costs more than the
     work; larger jobs go to a pool of `workers` threads, where hashing, zlib
     and file IO release the GIL. Once a job raises, no further job starts.
+    This pool spreads files, not the work within one: under deflate, pack
+    also hands the blocks of each file over payload.DEFLATE_BLOCK_BYTES,
+    inline or pooled, to its block pool, so one large file uses every core.
     """
     stop = threading.Event()
 
@@ -233,7 +237,9 @@ def pack(
     """Pack source_dir into a new brick at brick_dir.
 
     Each source file is read once, in bounded chunks, and streamed through
-    the codec chain into its payload.
+    the codec chain into its payload. Under deflate, the blocks of a file
+    over payload.DEFLATE_BLOCK_BYTES are deflated on one pool of `workers`
+    threads that all entries share.
     """
     source_dir = Path(source_dir)
     brick_dir = Path(brick_dir)
@@ -289,7 +295,9 @@ def pack(
             sink = os.open(f"{brick_dir}/{stored}", os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
             try:
                 write = functools.partial(_write_all, sink)
-                encoded = payload_mod.encode_file(source, info.st_size, write, chain, key)
+                encoded = payload_mod.encode_file(
+                    source, info.st_size, write, chain, key, blocks, thread_count
+                )
             except ConfigError as exc:
                 raise ConfigError(f"{stored}: {exc}") from None
             finally:
@@ -299,6 +307,11 @@ def pack(
         # _collect_source checked the path; the digests are hexdigest() output.
         return ChunkEntry._proven(stored, *encoded)
 
+    # One pool of deflate threads for every entry; it starts its threads on
+    # the first block handed to it, so a pack of small files starts none.
+    blocks = None
+    if CODEC_DEFLATE in chain and thread_count > 1:
+        blocks = ThreadPoolExecutor(max_workers=thread_count, thread_name_prefix="brick-deflate")
     try:
         for directory in directories:
             (brick_dir / directory).mkdir(exist_ok=True)
@@ -319,6 +332,9 @@ def pack(
             with contextlib.suppress(OSError):
                 brick_dir.rmdir()
         raise
+    finally:
+        if blocks is not None:
+            blocks.shutdown(cancel_futures=True)
     return PackResult(
         manifest=manifest,
         brick_dir=brick_dir,

@@ -231,7 +231,8 @@ def _add_passphrase_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=int,
-        help="threads for files of 1 MiB and up; smaller files run on the calling thread"
+        help="threads for files of 1 MiB and up, smaller files run on the calling thread;"
+        " pack also deflates the blocks of files over 256 KiB on a pool of this many threads"
         " (default: one per core, up to 8)",
     )
 
@@ -338,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_io.add_argument(
         "--verify", action="store_true",
         help="on reads, check blocks against the seeded write pattern;"
-        " use the write's --block and --seed",
+        " use the write's --seed (any --block and --pattern)",
     )
     bench_io.add_argument("--csv", metavar="PATH", help="append the report as a CSV row")
     bench_io.set_defaults(func=_cmd_bench_io)

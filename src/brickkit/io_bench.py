@@ -188,22 +188,43 @@ class BenchReport:
         ]
 
 
-def fill_block(seed: int, target_index: int, offset: int, size: int) -> bytes:
-    """Deterministic block content for (seed, target, offset).
+# The pattern repeats with this period: the least prime above MAX_BLOCK, so
+# no block of any valid size holds the same stretch twice.
+PATTERN_PERIOD = 8_388_617
 
-    Content is keyed on the block's start offset, not on issue order, so a
-    read of a fully written region verifies under any access pattern, but
-    only with the write's block size and seed: a read with another block
-    size starts its blocks at offsets the write did not key, and reports a
-    mismatch on healthy data.
+
+class _Pattern:
+    """The bytes a run expects: byte o of target t is ring[(phase[t] + o) % PATTERN_PERIOD].
+
+    Each byte is a function of its absolute offset alone, so a read with
+    any block size, pattern or depth verifies what any write of the same
+    seed laid down. The ring is one period of SHAKE-256 output keyed on
+    the seed, followed by its first block again, so every block is one
+    slice; each target starts it at its own phase, drawn from (seed,
+    target). A block written at the wrong offset goes undetected only when
+    the shift is a multiple of PATTERN_PERIOD.
     """
-    unit = hashlib.sha256(
-        b"brickkit-io"
-        + seed.to_bytes(8, "big")
-        + target_index.to_bytes(4, "big")
-        + offset.to_bytes(8, "big")
-    ).digest()
-    return (unit * (size // len(unit) + 1))[:size]
+
+    def __init__(self, seed: int, target_count: int, block_bytes: int) -> None:
+        tag = b"brickkit-io" + seed.to_bytes(8, "big")
+        period = hashlib.shake_256(tag).digest(PATTERN_PERIOD)
+        self.ring = period + period[:block_bytes]
+        self.view = memoryview(self.ring)
+        self.phases = [
+            int.from_bytes(hashlib.sha256(tag + t.to_bytes(4, "big")).digest()[:8], "big")
+            % PATTERN_PERIOD
+            for t in range(target_count)
+        ]
+
+    def start(self, target_index: int, offset: int) -> int:
+        """Where in the ring the byte at `offset` of the target sits."""
+        return (self.phases[target_index] + offset) % PATTERN_PERIOD
+
+
+def fill_block(pattern: _Pattern, target_index: int, offset: int, buffer: mmap.mmap) -> None:
+    """Fill buffer with the pattern's bytes for the block at `offset` of the target."""
+    start = pattern.start(target_index, offset)
+    buffer[:] = pattern.view[start : start + len(buffer)]
 
 
 class _Reservoir:
@@ -344,7 +365,9 @@ def _open_targets(spec: BenchSpec, size: int) -> tuple[list[int], bool]:
         bypass = False  # a target refused the bypass: retry them all buffered
 
 
-def _worker(spec: BenchSpec, stream: _WorkStream, fds: list[int]) -> None:
+def _worker(
+    spec: BenchSpec, stream: _WorkStream, fds: list[int], pattern: _Pattern | None
+) -> None:
     # Page-aligned private buffer per worker; O_DIRECT requires alignment.
     buffer = mmap.mmap(-1, spec.block_bytes)
     transfer = os.pwritev if spec.op == OP_WRITE else os.preadv
@@ -353,15 +376,16 @@ def _worker(spec: BenchSpec, stream: _WorkStream, fds: list[int]) -> None:
         while (pair := stream.claim(latency)) is not None:
             target, offset = pair
             if spec.op == OP_WRITE:
-                buffer[:] = fill_block(spec.rng_seed, target, offset, spec.block_bytes)
+                fill_block(pattern, target, offset, buffer)
             started = time.perf_counter()
             moved = transfer(fds[target], [buffer], offset)
             latency = (time.perf_counter() - started) * 1e6
             if moved != spec.block_bytes:
                 raise OSError(f"short {spec.op} on {spec.targets[target]} at {offset}")
             if spec.verify_pattern:
-                expected = fill_block(spec.rng_seed, target, offset, spec.block_bytes)
-                if buffer[: spec.block_bytes] != expected:
+                start = pattern.start(target, offset)
+                if not pattern.ring.startswith(buffer, start):
+                    expected = pattern.view[start : start + spec.block_bytes]
                     position = next(
                         i for i in range(spec.block_bytes) if buffer[i] != expected[i]
                     )
@@ -389,10 +413,15 @@ def _execute(
     """
     fds, bypass = _open_targets(spec, place(chunks - 1)[1] + spec.block_bytes)
     try:
+        pattern = None
+        if spec.op == OP_WRITE or spec.verify_pattern:
+            pattern = _Pattern(spec.rng_seed, len(spec.targets), spec.block_bytes)
         stream = _WorkStream(spec, chunks, place, record_offsets)
         started = time.perf_counter()
         with ThreadPoolExecutor(max_workers=spec.queue_depth) as pool:
-            futures = [pool.submit(_worker, spec, stream, fds) for _ in range(spec.queue_depth)]
+            futures = [
+                pool.submit(_worker, spec, stream, fds, pattern) for _ in range(spec.queue_depth)
+            ]
             for future in futures:
                 future.result()
         if spec.op == OP_WRITE and not bypass:

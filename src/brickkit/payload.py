@@ -9,13 +9,22 @@ Both directions stream: a file is read once, in reads of at most
 CHUNK_BYTES, and every digest and codec is fed from that one read, so
 memory stays flat whatever the file size. An encrypted payload is read
 as its three parts in turn: the nonce, the ciphertext, then the tag.
+
+Deflate runs in blocks of DEFLATE_BLOCK_BYTES, in the manner of pigz: each
+block is primed with the 32 KiB of input before it and ends with a sync
+flush, the last with the stream's end. The blocks join into one ordinary
+raw deflate stream, so a v1 reader inflates it as it always has, while the
+blocks of one file can be deflated on several threads at once. A file of
+at most one block is deflated exactly as one zlib stream of the whole file.
 """
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import os
 import zlib
+from concurrent.futures import Executor, Future
 from typing import Callable, Iterator, NamedTuple
 
 from cryptography.exceptions import InvalidTag
@@ -32,6 +41,11 @@ TAG_BYTES = 16
 DEFLATE_LEVEL = 6
 
 CHUNK_BYTES = 1 << 20
+
+# Deflate's unit of parallel work. Each block in flight holds its input and
+# its output, so this size, not CHUNK_BYTES, sets pack's memory per thread.
+DEFLATE_BLOCK_BYTES = 256 << 10
+_DEFLATE_WINDOW = 32 << 10
 
 # GCM encrypts at most 2^39 - 256 bits under one nonce (NIST SP 800-38D).
 GCM_MAX_BYTES = 2**36 - 32
@@ -119,18 +133,56 @@ class Encoded(NamedTuple):
     payload_sha256: str
 
 
+def _deflate_block(block: bytes, primer: bytes, final: bool) -> bytes:
+    """Raw deflate of one block, primed with the input just before it.
+
+    A block that is not final ends with a sync flush, on a byte boundary,
+    so the next block's output can follow it directly.
+    """
+    compressor = zlib.compressobj(DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS, zdict=primer)
+    end = zlib.Z_FINISH if final else zlib.Z_SYNC_FLUSH
+    return compressor.compress(block) + compressor.flush(end)
+
+
+def _blocks(fd: int, size: int, plain: _Sink) -> Iterator[tuple[bytes, bytes, bool]]:
+    """Yield (block, primer, final) over the next `size` bytes of fd, in DEFLATE_BLOCK_BYTES blocks.
+
+    The primer is the last 32 KiB of the block before, empty for the first.
+    A block that comes up short ends the file and is final, as is the last
+    one `size` promised; there is always at least one.
+    """
+    left = size
+    primer = b""
+    while True:
+        want = min(DEFLATE_BLOCK_BYTES, left)
+        block = b"".join(_read_chunks(fd, want, plain))
+        left -= len(block)
+        final = left == 0 or len(block) < want
+        yield block, primer, final
+        if final:
+            return
+        primer = block[-_DEFLATE_WINDOW:]
+
+
 def encode_file(
     fd: int,
     size: int,
     write: Callable[[bytes], object],
     chain: tuple[str, ...],
     key: bytes | None,
+    pool: Executor | None = None,
+    threads: int = 1,
 ) -> Encoded:
     """Stream `size` bytes of fd through the codec chain into write().
 
-    The payload bytes equal the one-shot v1 transform of the same input:
-    deflate output does not depend on how its input is split. Under codec
-    none they are the input itself, so one digest serves both.
+    Under codec none the payload is the input itself, so one digest serves
+    both. Deflate works block by block: every block but the last goes to
+    `pool`, whose `threads` threads deflate it, or runs here if there is no
+    pool, and at most threads + 1 blocks are in flight. This thread reads
+    and hashes the input, and encrypts, hashes and writes the output in
+    block order. The payload bytes depend only on the input, never on the
+    pool or the read size. If anything here fails, blocks not yet started
+    are cancelled.
     """
     out = _Sink(write)
     if chain == (CODEC_NONE,):
@@ -155,14 +207,27 @@ def encode_file(
             data = encryptor.update(data)
         out.feed(data)
 
-    compressor = None
-    if CODEC_DEFLATE in chain:
-        compressor = zlib.compressobj(DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
     plain = _Sink()
-    for chunk in _read_chunks(fd, size, plain):
-        seal(compressor.compress(chunk) if compressor is not None else chunk)
-    if compressor is not None:
-        seal(compressor.flush())
+    if CODEC_DEFLATE in chain:
+        pending: collections.deque[Future] = collections.deque()
+        try:
+            for block, primer, final in _blocks(fd, size, plain):
+                # With no pool, or for the last block, this thread would only wait.
+                if pool is None or final:
+                    deflated = _deflate_block(block, primer, final)
+                    while pending:
+                        seal(pending.popleft().result())
+                    seal(deflated)
+                    continue
+                pending.append(pool.submit(_deflate_block, block, primer, final))
+                if len(pending) > threads:
+                    seal(pending.popleft().result())
+        finally:
+            for future in pending:
+                future.cancel()
+    else:
+        for chunk in _read_chunks(fd, size, plain):
+            seal(chunk)
     if encryptor is not None:
         out.feed(encryptor.finalize() + encryptor.tag)
     return Encoded(plain.size, plain.hash.hexdigest(), out.size, out.hash.hexdigest())

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import errno
 import hashlib
+import math
 import os
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -89,28 +91,46 @@ def test_spec_seed_must_fit_in_64_bits(tmp_path):
 
 # ---------- pattern block ----------
 
-def test_fill_block_is_deterministic_and_positional():
-    a = fill_block(7, 0, 0, 1000)
-    assert len(a) == 1000
-    assert a == fill_block(7, 0, 0, 1000)
-    assert a[:32] * 2 == fill_block(7, 0, 0, 64)  # repeats its 32-byte unit
+def pattern_block(seed: int, target: int, offset: int, size: int) -> bytes:
+    buffer = bytearray(size)
+    fill_block(io_bench._Pattern(seed, target + 1, size), target, offset, buffer)
+    return bytes(buffer)
+
+
+def test_pattern_is_a_function_of_the_absolute_offset():
+    a = pattern_block(7, 0, 0, 8 * KB)
+    assert a == pattern_block(7, 0, 0, 8 * KB)
+    # Blocks of any size agree wherever they overlap.
+    assert a == pattern_block(7, 0, 0, 4 * KB) + pattern_block(7, 0, 4 * KB, 4 * KB)
+    assert a[1000:1512] == pattern_block(7, 0, 1000, 512)
     distinct = {
-        fill_block(7, 0, 0, 32),
-        fill_block(8, 0, 0, 32),
-        fill_block(7, 1, 0, 32),
-        fill_block(7, 0, 512, 32),
+        pattern_block(7, 0, 0, 512),
+        pattern_block(8, 0, 0, 512),
+        pattern_block(7, 1, 0, 512),
+        pattern_block(7, 0, 512, 512),
     }
     assert len(distinct) == 4
+    # Only a shift by a whole period reads the same bytes.
+    period = io_bench.PATTERN_PERIOD
+    assert pattern_block(7, 0, period - 100, 512) == pattern_block(7, 0, 2 * period - 100, 512)
+    assert pattern_block(7, 0, 0, 512) != pattern_block(7, 0, period - 1, 512)
+
+
+def test_pattern_period_is_a_prime_above_every_block_size():
+    period = io_bench.PATTERN_PERIOD
+    assert period > io_bench.MAX_BLOCK
+    assert all(period % divisor for divisor in range(2, math.isqrt(period) + 1))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1])
 def test_written_content_is_pinned_for_every_valid_seed(tmp_path, seed):
-    # Each 64 KiB block repeats SHA-256 of (tag, seed, target, block offset).
+    # Byte o of target 0 is byte (phase + o) mod the period of SHAKE-256(tag,
+    # seed), where the phase is SHA-256(tag, seed, target)'s first 8 bytes.
     run_io_bench(spec_for(tmp_path, rng_seed=seed, target_bytes=256 * KB))
-    expected = b""
-    for offset in range(0, 256 * KB, 64 * KB):
-        key = b"brickkit-io" + seed.to_bytes(8, "big") + bytes(4) + offset.to_bytes(8, "big")
-        expected += hashlib.sha256(key).digest() * (64 * KB // 32)
+    tag = b"brickkit-io" + seed.to_bytes(8, "big")
+    period = hashlib.shake_256(tag).digest(8_388_617)
+    phase = int.from_bytes(hashlib.sha256(tag + bytes(4)).digest()[:8], "big") % len(period)
+    expected = (period + period)[phase : phase + 256 * KB]
     assert (tmp_path / "disk.bin").read_bytes() == expected
 
 
@@ -225,6 +245,28 @@ def test_random_verified_read_after_sequential_write_passes(tmp_path):
     report = run_io_bench(read_spec, record_offsets=True)
     assert report.io_count == 2 * 512
     assert len(set(report.offsets)) > 256  # the draws really do wander
+
+
+@pytest.mark.parametrize(
+    "write_block, read_block, pattern",
+    [(64 * KB, 8 * KB, "random"), (8 * KB, 64 * KB, "sequential"), (64 * KB, 512, "sequential")],
+)
+def test_a_verified_read_may_use_another_block_size(tmp_path, write_block, read_block, pattern):
+    run_io_bench(spec_for(tmp_path, block_bytes=write_block, target_bytes=MB, rng_seed=3))
+    read = spec_for(
+        tmp_path, op="read", pattern=pattern, block_bytes=read_block, target_bytes=MB,
+        verify_pattern=True, rng_seed=3,
+    )
+    assert run_io_bench(read).io_count == MB // read_block
+    poison_at = 802_816 + 4099
+    with open(tmp_path / "disk.bin", "r+b") as handle:
+        handle.seek(poison_at)
+        original = handle.read(1)
+        handle.seek(poison_at)
+        handle.write(bytes([original[0] ^ 0x01]))
+    sequential = replace(read, pattern="sequential")
+    with pytest.raises(IntegrityError, match=f"at byte {poison_at}$"):
+        run_io_bench(sequential)
 
 
 def test_read_needs_prewritten_bytes(tmp_path):

@@ -1,8 +1,9 @@
 """The single-pass entry pipeline: chunk boundaries, tamper findings, scratch files.
 
-The chunk size is patched down so that every boundary case (a read ending
-inside the nonce, the tag or the deflate stream) occurs with small files.
-Findings are compared with a whole-buffer reference decoder kept here.
+The chunk size, and for deflate the block size, is patched down so that
+every boundary case (a read ending inside the nonce, the tag or the deflate
+stream, a flip in the marker between two deflate blocks) occurs with small
+files. Findings are compared with a whole-buffer reference decoder kept here.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import hashlib
 import os
 import re
 import resource
+import threading
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -132,9 +134,30 @@ def chunk(request, monkeypatch):
     return request.param
 
 
-@pytest.mark.parametrize("chain", CHAINS, ids=CHAIN_IDS)
-def test_round_trip_at_chunk_boundaries(tmp_path, chunk, chain):
+TINY_BLOCK = 40
+DEFLATE_CHAINS = [chain for chain in CHAINS if "deflate" in chain]
+# Every chain at the real block size, then the deflate chains again with
+# blocks so small that reads, flips and cuts land in the sync-flush markers
+# (00 00 ff ff) and in blocks primed with the bytes before them.
+BLOCK_CASES = [(chain, None) for chain in CHAINS] + [(c, TINY_BLOCK) for c in DEFLATE_CHAINS]
+BLOCK_CASE_IDS = CHAIN_IDS + [f"{','.join(c)}-block{TINY_BLOCK}" for c in DEFLATE_CHAINS]
+
+
+@pytest.fixture
+def deflate_block(request, monkeypatch):
+    """DEFLATE_BLOCK_BYTES for the test: the param, or the real size if it is None."""
+    if request.param is not None:
+        monkeypatch.setattr(payload, "DEFLATE_BLOCK_BYTES", request.param)
+    return payload.DEFLATE_BLOCK_BYTES
+
+
+@pytest.mark.parametrize(
+    "chain, deflate_block", BLOCK_CASES, ids=BLOCK_CASE_IDS, indirect=["deflate_block"]
+)
+def test_round_trip_at_chunk_boundaries(tmp_path, chunk, chain, deflate_block):
     sizes = [0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5]
+    if deflate_block == TINY_BLOCK:  # and at block boundaries
+        sizes += [TINY_BLOCK - 1, TINY_BLOCK, TINY_BLOCK + 1, 3 * TINY_BLOCK + 5]
     source = tmp_path / "src"
     source.mkdir()
     for size in sizes:
@@ -170,8 +193,152 @@ def test_deflate_payload_does_not_depend_on_read_size(tmp_path, monkeypatch):
         assert (brick_dir / "f").read_bytes() == one_shot
 
 
-@pytest.mark.parametrize("chain", CHAINS, ids=CHAIN_IDS)
-def test_every_byte_flip_gives_the_reference_finding(tmp_path, chunk, chain):
+# ---------- deflate in primed blocks ----------
+
+def block_reference(plain: bytes, block_bytes: int) -> bytes:
+    """pigz-style raw deflate, whole-buffer: each block primed with the 32 KiB before it."""
+    blocks = [plain[i : i + block_bytes] for i in range(0, len(plain), block_bytes)] or [b""]
+    stream = b""
+    for index, block in enumerate(blocks):
+        primer = blocks[index - 1][-32 * 1024 :] if index else b""
+        compressor = zlib.compressobj(
+            payload.DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS, zdict=primer
+        )
+        last = index == len(blocks) - 1
+        stream += compressor.compress(block) + compressor.flush(
+            zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH
+        )
+    return stream
+
+
+@pytest.mark.parametrize("chain", DEFLATE_CHAINS, ids=str)
+def test_a_file_of_many_blocks_is_one_v1_deflate_stream(tmp_path, monkeypatch, chain):
+    block = payload.DEFLATE_BLOCK_BYTES
+    source = tmp_path / "src"
+    source.mkdir()
+    plain = body(3 * block + 12_345, 11)
+    (source / "f").write_bytes(plain)
+    (source / "one-block").write_bytes(plain[:block])
+    passphrase = passphrase_for(chain)
+    payloads = set()
+    for chunk_bytes in (7, 4096, 1 << 20):
+        for workers in (1, 2, None):
+            monkeypatch.setattr(payload, "CHUNK_BYTES", chunk_bytes)
+            brick_dir = tmp_path / f"brick-{chunk_bytes}-{workers}"
+            result = pack(
+                source, brick_dir, codec_chain=chain, passphrase=passphrase,
+                kdf_iterations=FAST_KDF_ITERATIONS, workers=workers,
+            )
+            monkeypatch.undo()
+            key = payload.derive_key(PASSPHRASE, result.manifest.kdf) if passphrase else None
+            stored = {name: (brick_dir / name).read_bytes() for name in ("f", "one-block")}
+            # An unchanged v1 reader: whole-buffer GCM, then zlib.decompress(data, -15).
+            assert one_shot_decode(stored["f"], chain, key) == plain
+            assert one_shot_decode(stored["one-block"], chain, key) == plain[:block]
+            deflated = {
+                name: one_shot_decode(data, ("aes-256-gcm",), key) if key else data
+                for name, data in stored.items()
+            }
+            payloads.add((deflated["f"], deflated["one-block"]))
+            assert verify(brick_dir, deep=True, passphrase=passphrase).ok
+    assert payloads == {(block_reference(plain, block), block_reference(plain[:block], block))}
+    # A file of one block is deflated exactly as one zlib stream.
+    compressor = zlib.compressobj(payload.DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
+    one_shot = compressor.compress(plain[:block]) + compressor.flush()
+    assert block_reference(plain[:block], block) == one_shot
+    restored = unpack(brick_dir, tmp_path / "out", passphrase=passphrase)
+    assert restored.bytes_written == len(plain) + block
+    assert read_tree(tmp_path / "out") == read_tree(source)
+
+
+def test_small_deflate_files_and_other_codecs_start_no_block_thread(tmp_path, monkeypatch):
+    source = tmp_path / "src"
+    source.mkdir()
+    for seed, size in enumerate((0, 1, 5000, payload.DEFLATE_BLOCK_BYTES)):
+        (source / f"f{size}").write_bytes(body(size, seed))
+    (source / "large").write_bytes(body(3 * payload.DEFLATE_BLOCK_BYTES, 9))
+    deflated_on = []
+    real_deflate = payload._deflate_block
+
+    def spy(block, primer, final):
+        pooled = threading.current_thread().name.startswith("brick-deflate")
+        deflated_on.append((len(block), pooled))
+        return real_deflate(block, primer, final)
+
+    monkeypatch.setattr(payload, "_deflate_block", spy)
+    pools = []
+    real_pool = brick_mod.ThreadPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        pools.append(kwargs.get("thread_name_prefix", ""))
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(brick_mod, "ThreadPoolExecutor", counting_pool)
+    for chain in (("none",), ("aes-256-gcm",)):
+        do_pack(source, tmp_path / ",".join(chain), chain)
+    assert deflated_on == [] and "brick-deflate" not in pools
+    pools.clear()
+    do_pack(source, tmp_path / "deflate", ("deflate",))
+    assert pools.count("brick-deflate") == 1
+    # Only the first blocks of the large file leave the entry's thread.
+    pooled = sorted(size for size, on_pool in deflated_on if on_pool)
+    assert pooled == [payload.DEFLATE_BLOCK_BYTES] * 2
+    assert len(deflated_on) == 4 + 3
+
+
+@pytest.mark.parametrize("failure", ["read", "gcm-ceiling"])
+def test_a_failure_mid_file_stops_the_block_pool(tmp_path, monkeypatch, failure):
+    block = payload.DEFLATE_BLOCK_BYTES
+    source = tmp_path / "src"
+    source.mkdir()
+    noise = hashlib.shake_256(b"incompressible").digest(6 * block + 5)
+    (source / "f").write_bytes(noise)
+    started = []
+    real_deflate = payload._deflate_block
+
+    def spy(data, primer, final):
+        started.append(noise.index(data[:64]) // block)
+        return real_deflate(data, primer, final)
+
+    monkeypatch.setattr(payload, "_deflate_block", spy)
+    chain = ("deflate", "aes-256-gcm")
+    if failure == "read":
+        real_read, reads = os.read, []
+
+        def failing_read(fd, count):
+            reads.append(count)
+            if len(reads) == 3:  # the third block
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return real_read(fd, count)
+
+        monkeypatch.setattr(os, "read", failing_read)
+        text = re.escape(str(OSError(errno.EIO, os.strerror(errno.EIO))))
+        expected = pytest.raises(OSError, match=f"^{text}$")
+        last_started = 1  # blocks 0 and 1 were handed out before the read failed
+    else:
+        # Sealing block 2 crosses the ceiling while blocks 3 and 4 are in flight.
+        monkeypatch.setattr(payload, "GCM_MAX_BYTES", 5 * block // 2)
+        expected = pytest.raises(ConfigError, match="^f: ciphertext over .* single-nonce limit$")
+        last_started = 2 + 2
+    threads_before = threading.active_count()
+    destination = tmp_path / "brick"
+    with expected:
+        pack(
+            source, destination, codec_chain=chain, passphrase=PASSPHRASE,
+            kdf_iterations=FAST_KDF_ITERATIONS, workers=2,
+        )
+    assert threading.active_count() == threads_before
+    assert not destination.exists()
+    assert max(started, default=-1) <= last_started
+    monkeypatch.undo()
+    do_pack(source, destination, chain)  # the same tree packs once nothing fails
+    assert verify(destination, deep=True, passphrase=PASSPHRASE).ok
+
+
+@pytest.mark.parametrize(
+    "chain, deflate_block", BLOCK_CASES, ids=BLOCK_CASE_IDS, indirect=["deflate_block"]
+)
+def test_every_byte_flip_gives_the_reference_finding(tmp_path, chunk, chain, deflate_block):
     source = tmp_path / "src"
     source.mkdir()
     (source / "f").write_bytes(body(120, 3))
