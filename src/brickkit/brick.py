@@ -199,7 +199,8 @@ def _run_entries(
     and file IO release the GIL. Once a job raises, no further job starts.
     This pool spreads files, not the work within one: under deflate, pack
     also hands the blocks of each file over payload.DEFLATE_BLOCK_BYTES,
-    inline or pooled, to its block pool, so one large file uses every core.
+    inline or pooled, to its block pool, so one large file uses every core,
+    and a deep check or unpack inflates a pooled file on threads of its own.
     """
     stop = threading.Event()
 
@@ -372,11 +373,12 @@ def _judge(entry: ChunkEntry, decoded: payload_mod.Decoded, deep: bool) -> Findi
 
 def _check_entry(
     root: str, entry: ChunkEntry, deep: bool, chain: tuple[str, ...], key: bytes | None,
-    write: Callable[[bytes], object] | None = None,
+    write: Callable[[bytes], object] | None = None, threads: int = 1,
 ) -> tuple[Finding | None, int]:
     """Most precise single finding for one entry, plus bytes read.
 
-    A deep check hands the decoded bytes to write() as they appear.
+    A deep check hands the decoded bytes to write() as they appear; with
+    threads > 1, a large deflate payload is inflated on threads of its own.
     """
     try:
         # A FIFO planted in a brick must not block the open; fstat then rejects it.
@@ -391,7 +393,7 @@ def _check_entry(
             detail = f"payload is {info.st_size} bytes, manifest says {entry.payload_size}"
             return Finding(entry.path, KIND_SIZE, detail), 0
         decoded = payload_mod.decode_file(
-            fd, entry.payload_size, chain if deep else None, key, entry.plain_size, write
+            fd, entry.payload_size, chain if deep else None, key, entry.plain_size, write, threads
         )
     finally:
         os.close(fd)
@@ -403,14 +405,18 @@ def verify(
 ) -> VerifyReport:
     """Check a brick against its manifest; never raises for per-file defects.
 
-    Each payload is read once, deep or not.
+    Each payload is read once, deep or not. A deep check of a deflate
+    payload of payload.CHUNK_BYTES and up inflates it on threads of its own
+    unless `workers` is 1.
     """
     brick_dir = Path(brick_dir)
     thread_count = _worker_count(workers)
     manifest = load_manifest(brick_dir)
     key = _resolve_key(manifest.codec_chain, passphrase, manifest.kdf) if deep else None
     root = str(brick_dir)
-    check = functools.partial(_check_entry, root, deep=deep, chain=manifest.codec_chain, key=key)
+    check = functools.partial(
+        _check_entry, root, deep=deep, chain=manifest.codec_chain, key=key, threads=thread_count
+    )
     results = _run_entries(manifest.entries, lambda e: e.payload_size, check, thread_count)
     findings = [finding for finding, _ in results if finding is not None]
     bytes_checked = sum(size for _, size in results)
@@ -471,7 +477,8 @@ def _write_all(fd: int, data: bytes) -> None:
 
 
 def _restore(
-    root: str, dest: str, chain: tuple[str, ...], key: bytes | None, job: tuple[ChunkEntry, str]
+    root: str, dest: str, chain: tuple[str, ...], key: bytes | None, threads: int,
+    job: tuple[ChunkEntry, str],
 ) -> int:
     """Decode one payload into its scratch file and give it its final name once it is proven."""
     entry, scratch = job[0], f"{dest}/{job[1]}"
@@ -479,7 +486,7 @@ def _restore(
     try:
         try:
             write = functools.partial(_write_all, out)
-            finding, _ = _check_entry(root, entry, True, chain, key, write)
+            finding, _ = _check_entry(root, entry, True, chain, key, write, threads)
         finally:
             os.close(out)  # closed before the file can get its name
         if finding is not None:
@@ -502,7 +509,9 @@ def unpack(
     tag and the plain digest all match. Fails fast on the first bad payload:
     no further file is started, its scratch file and any directory left
     empty are removed, and files already restored are left in place so a
-    rerun after repair can be compared against them.
+    rerun after repair can be compared against them. Unless `workers` is 1,
+    a deflate payload of payload.CHUNK_BYTES and up is inflated, and its
+    plain bytes hashed and written, on two threads beside the one reading it.
     """
     brick_dir = Path(brick_dir)
     dest_dir = Path(dest_dir)
@@ -514,7 +523,7 @@ def unpack(
     dest_dir.mkdir(parents=True, exist_ok=True)
     directories = _directories(entry.path for entry in manifest.entries)
     jobs = list(zip(manifest.entries, _scratch_names(manifest.entries, directories)))
-    restore = functools.partial(_restore, str(brick_dir), str(dest_dir), chain, key)
+    restore = functools.partial(_restore, str(brick_dir), str(dest_dir), chain, key, thread_count)
     try:
         for directory in directories:
             (dest_dir / directory).mkdir(exist_ok=True)

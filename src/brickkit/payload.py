@@ -16,6 +16,15 @@ flush, the last with the stream's end. The blocks join into one ordinary
 raw deflate stream, so a v1 reader inflates it as it always has, while the
 blocks of one file can be deflated on several threads at once. A file of
 at most one block is deflated exactly as one zlib stream of the whole file.
+
+A v1 stream cannot itself be inflated in parallel, so decode overlaps its
+stages instead, as pigz does when it decompresses. Given more than one
+thread, a deflate payload of at least CHUNK_BYTES is inflated on a thread
+of its own, and its plain bytes are hashed and written on a third, while
+the calling thread reads, hashes and decrypts the payload. The stages hand
+each other pieces of at most min(CHUNK_BYTES, DEFLATE_BLOCK_BYTES) through
+one-piece hand-offs, so memory stays flat here too. With one thread, every
+stage runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -23,6 +32,8 @@ from __future__ import annotations
 import collections
 import hashlib
 import os
+import queue
+import threading
 import zlib
 from concurrent.futures import Executor, Future
 from typing import Callable, Iterator, NamedTuple
@@ -107,14 +118,16 @@ class _Sink:
             self._write(data)
 
 
-def _read_chunks(fd: int, size: int, sink: _Sink) -> Iterator[bytes]:
-    """Yield the next `size` bytes of fd, each read capped at CHUNK_BYTES and fed to sink first.
+def _read_chunks(fd: int, size: int, sink: _Sink, most: int | None = None) -> Iterator[bytes]:
+    """Yield the next `size` bytes of fd, each read capped at `most` and fed to sink first.
 
-    Stops early if the file ends first; the caller's digests then show it.
+    `most` is CHUNK_BYTES unless given. Stops early if the file ends first;
+    the caller's digests then show it.
     """
+    most = most or CHUNK_BYTES
     left = size
     while left > 0:
-        chunk = os.read(fd, min(CHUNK_BYTES, left))
+        chunk = os.read(fd, min(most, left))
         if not chunk:
             return
         left -= len(chunk)
@@ -239,9 +252,10 @@ class Decoded(NamedTuple):
     """What one read of a payload showed; the caller ranks the findings.
 
     plain_size is exact unless overflow is set, in which case decoding
-    stopped as soon as the output passed the expected size and plain_sha256
-    means nothing. A shallow read decodes nothing: plain_size is 0 and
-    plain_sha256 the digest of no bytes.
+    stopped as soon as the output passed the expected size, plain_size is
+    one more than that size and plain_sha256 is the digest of no bytes. A
+    shallow read decodes nothing: plain_size is 0 and plain_sha256 the
+    digest of no bytes.
     """
 
     payload_size: int
@@ -255,13 +269,14 @@ class Decoded(NamedTuple):
 class _Inflate:
     """Deflate decoding stage.
 
-    Each output is bounded by CHUNK_BYTES and by one byte past the expected
+    Each output is bounded by `piece` and by one byte past the expected
     size, so a forged stream cannot make it allocate or work without limit.
     """
 
-    def __init__(self, plain: _Sink) -> None:
+    def __init__(self, plain: _Sink, piece: int) -> None:
         self._decompressor = zlib.decompressobj(-zlib.MAX_WBITS)
         self._plain = plain
+        self._piece = piece
         self.error: str | None = None
 
     def feed(self, data: bytes) -> None:
@@ -269,7 +284,7 @@ class _Inflate:
         plain = self._plain
         try:
             while self.error is None and not plain.overflow:
-                room = min(CHUNK_BYTES, plain.limit + 1 - plain.size)
+                room = min(self._piece, plain.limit + 1 - plain.size)
                 out = z.decompress(data, room)
                 if z.unused_data:
                     self.error = "data after the end of the deflate stream"
@@ -286,13 +301,52 @@ class _Inflate:
             self.error = "deflate stream is truncated"
 
 
+class _Stage:
+    """One decode stage on a thread of its own, fed pieces through a one-piece hand-off.
+
+    work() gets each piece in order. Once it raises, the stage keeps taking
+    pieces and drops them, so the stage feeding it never blocks; `failure`
+    holds the exception, and put() raises it to tell that stage to stop.
+    """
+
+    def __init__(self, name: str, work: Callable[[bytes], object]) -> None:
+        self.failure: BaseException | None = None
+        self._work = work
+        self._pieces: queue.Queue[bytes | None] = queue.Queue(maxsize=1)
+        # A daemon, so that an interrupt during close() cannot keep the process alive.
+        self._thread = threading.Thread(target=self._run, name=name, daemon=True)
+
+    def _run(self) -> None:
+        while (piece := self._pieces.get()) is not None:
+            if self.failure is None:
+                try:
+                    self._work(piece)
+                except BaseException as exc:
+                    self.failure = exc
+
+    def start(self) -> None:
+        self._thread.start()
+
+    def put(self, piece: bytes) -> None:
+        if self.failure is not None:
+            raise self.failure
+        self._pieces.put(piece)
+
+    def close(self) -> None:
+        """Wait until the stage has worked through every piece put to it, then end its thread."""
+        if self._thread.is_alive():
+            self._pieces.put(None)
+            self._thread.join()
+
+
 def _decrypt(
-    fd: int, size: int, key: bytes, payload: _Sink, feed: Callable[[bytes], None]
+    fd: int, size: int, key: bytes, payload: _Sink, feed: Callable[[bytes], None], piece: int
 ) -> str | None:
     """Read an AES-256-GCM payload as its nonce, ciphertext and tag, handing feed() the plaintext.
 
-    Returns the GCM error, if any. A payload declared too short for nonce
-    and tag is left unread; one that ends early is read up to its end.
+    The ciphertext is read in reads of at most `piece` bytes. Returns the
+    GCM error, if any. A payload declared too short for nonce and tag is
+    left unread; one that ends early is read up to its end.
     """
     if size < NONCE_BYTES + TAG_BYTES:
         return "ciphertext shorter than nonce plus tag"
@@ -300,7 +354,7 @@ def _decrypt(
     if len(nonce) < NONCE_BYTES:
         return "payload ended before its tag"
     decryptor = Cipher(algorithms.AES(key), modes.GCM(nonce)).decryptor()
-    for chunk in _read_chunks(fd, size - NONCE_BYTES - TAG_BYTES, payload):
+    for chunk in _read_chunks(fd, size - NONCE_BYTES - TAG_BYTES, payload, piece):
         feed(decryptor.update(chunk))
     tag = b"".join(_read_chunks(fd, TAG_BYTES, payload))
     if len(tag) < TAG_BYTES:
@@ -319,6 +373,7 @@ def decode_file(
     key: bytes | None,
     plain_limit: int = 0,
     write: Callable[[bytes], object] | None = None,
+    threads: int = 1,
 ) -> Decoded:
     """Read `size` bytes of fd once: hash them and, unless chain is None, decode them.
 
@@ -326,23 +381,52 @@ def decode_file(
     digests are checked; the caller must not trust them until it has read
     the result. A GCM error is reported ahead of a deflate error, because
     deflate saw unauthenticated bytes.
+
+    With threads > 1, a deflate payload of at least CHUNK_BYTES is decoded
+    in three stages: this thread reads, hashes and decrypts it (AES-GCM
+    holds the GIL, so a thread of its own would not help), one thread
+    inflates it, and another hashes and writes the plain bytes. Both
+    threads have ended before this returns or raises; an exception in a
+    later stage is raised ahead of one in an earlier stage, since it comes
+    from earlier in the stream. The result is the same as with one thread.
     """
     payload = _Sink()
-    plain = None
+    plain = out = None
     error = None
     if chain is not None:
         encrypted = is_encrypted(chain)
         if encrypted and key is None:
             raise ValueError("codec chain encrypts but no key was derived")
         # Under codec none the plaintext is the payload: one digest serves both.
-        plain = _Sink(write, hashed=chain != (CODEC_NONE,), limit=plain_limit)
-        inflate = _Inflate(plain) if CODEC_DEFLATE in chain else None
+        # `out` hashes and writes the plain bytes, `plain` counts them; on
+        # one thread they are the same sink.
+        plain = out = _Sink(write, hashed=chain != (CODEC_NONE,), limit=plain_limit)
+        piece = CHUNK_BYTES
+        stages: list[_Stage] = []
+        if CODEC_DEFLATE in chain and threads > 1 and size >= CHUNK_BYTES:
+            piece = min(CHUNK_BYTES, DEFLATE_BLOCK_BYTES)
+            stages.append(_Stage("brick-write", out.feed))
+            # The inflating thread counts the plain bytes and stops at the limit.
+            plain = _Sink(stages[0].put, hashed=False, limit=plain_limit)
+        inflate = _Inflate(plain, piece) if CODEC_DEFLATE in chain else None
         feed = inflate.feed if inflate is not None else plain.feed
-        if encrypted:
-            error = _decrypt(fd, size, key, payload, feed)
-        else:
-            for chunk in _read_chunks(fd, size, payload):
-                feed(chunk)
+        if stages:
+            stages.insert(0, _Stage("brick-inflate", feed))
+            feed = stages[0].put
+        try:
+            for stage in stages:
+                stage.start()
+            if encrypted:
+                error = _decrypt(fd, size, key, payload, feed, piece)
+            else:
+                for chunk in _read_chunks(fd, size, payload, piece):
+                    feed(chunk)
+        finally:
+            for stage in stages:
+                stage.close()
+            for stage in reversed(stages):
+                if stage.failure is not None:
+                    raise stage.failure
         if inflate is not None:
             inflate.finish()
             error = error or inflate.error
@@ -351,5 +435,10 @@ def decode_file(
     payload_sha256 = payload.hash.hexdigest()
     if plain is None:
         return Decoded(payload.size, payload_sha256, 0, _SHA256_EMPTY, None, False)
-    plain_sha256 = plain.hash.hexdigest() if plain.hash is not None else payload_sha256
+    if plain.overflow:
+        plain_sha256 = _SHA256_EMPTY  # only a prefix was hashed, cut where a piece ended
+    elif out.hash is not None:
+        plain_sha256 = out.hash.hexdigest()
+    else:
+        plain_sha256 = payload_sha256
     return Decoded(payload.size, payload_sha256, plain.size, plain_sha256, error, plain.overflow)

@@ -13,7 +13,9 @@ import hashlib
 import os
 import re
 import resource
+import sys
 import threading
+import tracemalloc
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -149,6 +151,35 @@ def deflate_block(request, monkeypatch):
     if request.param is not None:
         monkeypatch.setattr(payload, "DEFLATE_BLOCK_BYTES", request.param)
     return payload.DEFLATE_BLOCK_BYTES
+
+
+DECODE_STAGES = ("brick-inflate", "brick-write")
+
+
+@pytest.fixture
+def stage_starts(monkeypatch):
+    """The names of the decode stage threads started while the test runs, in order."""
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        if thread.name in DECODE_STAGES:
+            started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+def decode_with(path: Path, size: int, chain, key, plain_limit: int, threads: int):
+    """decode_file of the file at path, and the plain bytes it wrote."""
+    written = []
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        decoded = payload.decode_file(fd, size, chain, key, plain_limit, written.append, threads)
+    finally:
+        os.close(fd)
+    return decoded, b"".join(written)
 
 
 @pytest.mark.parametrize(
@@ -335,10 +366,19 @@ def test_a_failure_mid_file_stops_the_block_pool(tmp_path, monkeypatch, failure)
     assert verify(destination, deep=True, passphrase=PASSPHRASE).ok
 
 
+# Every block case on one thread, then the deflate ones again with their
+# payloads inflated beside the reading thread.
+INFLATED = [index for index, (chain, _) in enumerate(BLOCK_CASES) if "deflate" in chain]
+THREAD_CASES = [(*case, 1) for case in BLOCK_CASES] + [(*BLOCK_CASES[i], 2) for i in INFLATED]
+THREAD_CASE_IDS = BLOCK_CASE_IDS + [f"{BLOCK_CASE_IDS[i]}-threads2" for i in INFLATED]
+
+
 @pytest.mark.parametrize(
-    "chain, deflate_block", BLOCK_CASES, ids=BLOCK_CASE_IDS, indirect=["deflate_block"]
+    "chain, deflate_block, threads", THREAD_CASES, ids=THREAD_CASE_IDS, indirect=["deflate_block"]
 )
-def test_every_byte_flip_gives_the_reference_finding(tmp_path, chunk, chain, deflate_block):
+def test_every_byte_flip_gives_the_reference_finding(
+    tmp_path, chunk, chain, deflate_block, threads, stage_starts
+):
     source = tmp_path / "src"
     source.mkdir()
     (source / "f").write_bytes(body(120, 3))
@@ -353,7 +393,7 @@ def test_every_byte_flip_gives_the_reference_finding(tmp_path, chunk, chain, def
         flipped = bytearray(pristine)
         flipped[position] ^= 0x04
         (brick_dir / "f").write_bytes(bytes(flipped))
-        assert kinds(verify(brick_dir, deep=True, passphrase=passphrase)) == [
+        assert kinds(verify(brick_dir, deep=True, passphrase=passphrase, workers=threads)) == [
             ("f", KIND_PAYLOAD_DIGEST)
         ]
 
@@ -367,8 +407,17 @@ def test_every_byte_flip_gives_the_reference_finding(tmp_path, chunk, chain, def
         sealed = load_manifest(brick_dir).entries[0]
         expected = reference_kind(bytes(flipped), sealed, chain, key)
         expected_kinds.add(expected)
-        report = verify(brick_dir, deep=True, passphrase=passphrase)
+        report = verify(brick_dir, deep=True, passphrase=passphrase, workers=threads)
         assert kinds(report) == ([("f", expected)] if expected else []), f"flip at {position}"
+        if threads > 1:  # the stages decode exactly what one thread does
+            decoded = [
+                decode_with(brick_dir / "f", sealed.payload_size, chain, key, sealed.plain_size, n)
+                for n in (1, threads)
+            ]
+            assert decoded[1] == decoded[0], f"flip at {position}"
+    # Only a payload of at least one read is worth the stage threads.
+    pipelined = threads > 1 and len(pristine) >= chunk
+    assert bool(stage_starts) == pipelined
     # Deflate can shrug off a flip in the padding after its last block.
     if "aes-256-gcm" in chain:
         assert expected_kinds == {KIND_DECODE}
@@ -965,8 +1014,14 @@ def truncated_reference(data: bytes, size: int, chain, key) -> payload.Decoded:
     return payload.Decoded(len(data), digest, len(plain), plain_digest, error, False)
 
 
-@pytest.mark.parametrize("chain", CHAINS, ids=CHAIN_IDS)
-def test_a_payload_shorter_than_its_size_decodes_without_raising(tmp_path, chunk, chain):
+@pytest.mark.parametrize(
+    "chain, threads",
+    [(chain, 1) for chain in CHAINS] + [(chain, 2) for chain in DEFLATE_CHAINS],
+    ids=CHAIN_IDS + [f"{','.join(chain)}-threads2" for chain in DEFLATE_CHAINS],
+)
+def test_a_payload_shorter_than_its_size_decodes_without_raising(
+    tmp_path, chunk, chain, threads, stage_starts
+):
     source = tmp_path / "src"
     source.mkdir()
     (source / "f").write_bytes(body(3000, 9))
@@ -981,11 +1036,278 @@ def test_a_payload_shorter_than_its_size_decodes_without_raising(tmp_path, chunk
     cuts = [0, 5, nonce, nonce + 3, size // 2, size - tag, size - 5, size - 1]
     for cut in cuts:
         (brick_dir / "f").write_bytes(stored[:cut])
-        written = []
+        decoded, written = decode_with(brick_dir / "f", size, chain, key, entry.plain_size, threads)
+        assert decoded == truncated_reference(stored[:cut], size, chain, key), f"cut at {cut}"
+        assert len(written) == decoded.plain_size
+        if threads > 1:
+            serial = decode_with(brick_dir / "f", size, chain, key, entry.plain_size, 1)
+            assert (decoded, written) == serial, f"cut at {cut}"
+    assert bool(stage_starts) == (threads > 1 and size >= chunk)
+
+
+# ---------- one large deflate payload inflated beside its reader ----------
+
+def bounded(call):
+    """call() on a helper thread that must end within a minute, so a hang fails the test."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = call()
+        except BaseException as exc:  # handed back to the test's thread
+            outcome["error"] = exc
+
+    helper = threading.Thread(target=run)
+    helper.start()
+    helper.join(60)
+    assert not helper.is_alive(), "decode did not end"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def nibbles(size: int, seed: int) -> bytes:
+    """Random bytes of 16 values: deflate halves them, Huffman-coded from end to end."""
+    noise = hashlib.shake_256(seed.to_bytes(4, "big")).digest(size)
+    return noise.translate(bytes(0x40 | (i & 0x0F) for i in range(256)))
+
+
+def corrupting_flip(data: bytes, start: int) -> bytes:
+    """data with one bit flipped past start so that inflating it raises.
+
+    The bit is in the block type of a deflate block that follows a sync
+    flush (00 00 ff ff): a dynamic block read as a stored one has lengths
+    that do not check.
+    """
+    marker = data.find(b"\x00\x00\xff\xff", start)
+    while marker != -1:
+        at = marker + 4
+        flipped = data[:at] + bytes([data[at] ^ 0x04]) + data[at + 1 :]
+        try:
+            zlib.decompress(flipped, -zlib.MAX_WBITS)
+        except zlib.error:
+            return flipped
+        marker = data.find(b"\x00\x00\xff\xff", marker + 1)
+    raise AssertionError("no block after the start to corrupt")
+
+
+@pytest.mark.parametrize("failure", ["write", "inflate", "passphrase", "cut"])
+def test_a_failing_stage_gives_what_one_thread_gives(
+    tmp_path, monkeypatch, capsys, stage_starts, failure
+):
+    """A failure in each stage: the writer, the inflater, and the reader (twice)."""
+    source = tmp_path / "src"
+    source.mkdir()
+    (source / "f").write_bytes(nibbles(4 * payload.CHUNK_BYTES, 12))
+    chain = ("deflate",) if failure in ("write", "inflate") else ("deflate", "aes-256-gcm")
+    brick_dir = tmp_path / "brick"
+    do_pack(source, brick_dir, chain)
+    stored = (brick_dir / "f").read_bytes()
+    assert len(stored) > 4 * min(payload.CHUNK_BYTES, payload.DEFLATE_BLOCK_BYTES)
+    passphrase = passphrase_for(chain)
+    if failure == "inflate":  # a flip past the middle, vouched for by the manifest
+        stored = corrupting_flip(stored, len(stored) // 2)
+        reseal(brick_dir, "f", stored)
+    elif failure == "passphrase":
+        passphrase = "not sesame"
+    elif failure == "write":
+        real_write, writes = os.write, []
+
+        def failing_write(fd, data):
+            writes.append(len(data))
+            if len(writes) % 3 == 0:  # the third write of each restored file
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", failing_write)
+    else:  # the payload is cut in half once its size has been checked
+        real_read = os.read
+
+        def cutting_read(fd, count):
+            if os.fstat(fd).st_size == len(stored):
+                os.truncate(brick_dir / "f", len(stored) // 2)
+            return real_read(fd, count)
+
+        monkeypatch.setattr(os, "read", cutting_read)
+    monkeypatch.setenv("BRICK_TEST_PASS", passphrase or "")
+    secret = ["--passphrase-env", "BRICK_TEST_PASS"] if passphrase else []
+
+    def outcomes(workers: int):
+        stage_starts.clear()
+        threads_before = threading.active_count()
+        (brick_dir / "f").write_bytes(stored)
+        report = bounded(
+            lambda: verify(brick_dir, deep=True, passphrase=passphrase, workers=workers)
+        )
+        (brick_dir / "f").write_bytes(stored)
+        dest = tmp_path / f"out{workers}"
+        with pytest.raises((OSError, IntegrityError)) as raised:
+            bounded(lambda: unpack(brick_dir, dest, passphrase=passphrase, workers=workers))
+        assert leftovers(dest) == []
+        (brick_dir / "f").write_bytes(stored)
+        cli_dest = tmp_path / f"cli-out{workers}"
+        argv = ["unpack", str(brick_dir), str(cli_dest), "--workers", str(workers), *secret]
+        capsys.readouterr()
+        code = bounded(lambda: main(argv))
+        err = capsys.readouterr().err.replace(str(cli_dest), "<dest>")
+        assert leftovers(cli_dest) == []
+        assert threading.active_count() == threads_before
+        findings = [str(finding) for finding in report.findings]
+        return findings, (raised.type, str(raised.value)), code, err, list(stage_starts)
+
+    serial, pipelined = outcomes(1), outcomes(2)
+    assert pipelined[:4] == serial[:4]
+    # verify --deep and both unpacks inflated the file beside its reader.
+    assert serial[4] == [] and pipelined[4] == [*DECODE_STAGES] * 3
+    findings, raised, code, err, _ = serial
+    if failure == "write":
+        assert findings == []
+        assert raised == (OSError, str(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))))
+        assert code == EXIT_IO
+    else:
+        expected = {
+            "inflate": KIND_DECODE, "passphrase": KIND_DECODE, "cut": KIND_PAYLOAD_DIGEST
+        }[failure]
+        assert len(findings) == 1 and findings[0].startswith(f"{expected}: f: ")
+        assert raised == (IntegrityError, findings[0])
+        assert code == 1 and findings[0] in err
+
+
+def test_only_large_deflate_payloads_start_decode_threads(tmp_path, monkeypatch, stage_starts):
+    big = payload.CHUNK_BYTES
+    piece = min(payload.CHUNK_BYTES, payload.DEFLATE_BLOCK_BYTES)
+    real_read, real_write, sizes = os.read, os.write, []
+
+    def read(fd, count):
+        data = real_read(fd, count)
+        sizes.append(len(data))
+        return data
+
+    def write(fd, data):
+        sizes.append(len(data))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "read", read)
+    monkeypatch.setattr(os, "write", write)
+    source = tmp_path / "src"
+    source.mkdir()
+    (source / "big").write_bytes(nibbles(2 * big, 13))
+    (source / "small").write_bytes(nibbles(piece // 2, 14))
+    for chain in CHAINS:
+        brick_dir = tmp_path / ",".join(chain)
+        entries = do_pack(source, brick_dir, chain).manifest.entries
+        large = [entry.path for entry in entries if entry.payload_size >= big]
+        assert large == ["big"]
+        passphrase = passphrase_for(chain)
+        for workers in (1, 2):
+            stage_starts.clear()
+            sizes.clear()
+            assert verify(brick_dir, deep=True, passphrase=passphrase, workers=workers).ok
+            unpack(brick_dir, tmp_path / f"out-{brick_dir.name}-{workers}", passphrase=passphrase,
+                   workers=workers)
+            pipelined = "deflate" in chain and workers > 1
+            # Once for verify --deep and once for unpack, and only for the large payload.
+            assert stage_starts == [*DECODE_STAGES] * 2 * pipelined, (chain, workers)
+            # The stages read and write in pieces, where one thread reads and writes in chunks.
+            assert max(sizes) == (piece if pipelined else big), (chain, workers)
+            assert read_tree(tmp_path / f"out-{brick_dir.name}-{workers}") == read_tree(source)
+    # A shallow verify decodes nothing.
+    stage_starts.clear()
+    assert verify(tmp_path / "deflate", workers=2).ok
+    assert stage_starts == []
+
+
+def test_an_earlier_write_failure_is_raised_ahead_of_a_later_read_failure(tmp_path, monkeypatch):
+    source = tmp_path / "src"
+    source.mkdir()
+    (source / "f").write_bytes(nibbles(4 * payload.CHUNK_BYTES, 15))
+    brick_dir = tmp_path / "brick"
+    entry = do_pack(source, brick_dir, ("deflate",)).manifest.entries[0]
+    wrote = threading.Event()
+    real_read, reads = os.read, []
+
+    def write(data):
+        wrote.set()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def read(fd, count):
+        reads.append(count)
+        if len(reads) == 3:  # fails only once the first write has failed
+            assert wrote.wait(10)
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return real_read(fd, count)
+
+    monkeypatch.setattr(os, "read", read)
+    for threads in (1, 2):
+        reads.clear()
+        wrote.clear()
         fd = os.open(brick_dir / "f", os.O_RDONLY)
         try:
-            decoded = payload.decode_file(fd, size, chain, key, entry.plain_size, written.append)
+            with pytest.raises(OSError) as raised:
+                bounded(lambda: payload.decode_file(
+                    fd, entry.payload_size, ("deflate",), None, entry.plain_size, write, threads
+                ))
         finally:
             os.close(fd)
-        assert decoded == truncated_reference(stored[:cut], size, chain, key), f"cut at {cut}"
-        assert len(b"".join(written)) == decoded.plain_size
+        assert raised.value.errno == errno.ENOSPC, threads
+
+
+def test_many_pipelines_at_once_on_a_busy_interpreter(tmp_path, monkeypatch, stage_starts):
+    # Reads of 4 KiB let every 64 KiB file take the stages; four workers
+    # on fewer cores, switching threads every few microseconds.
+    monkeypatch.setattr(payload, "CHUNK_BYTES", 4096)
+    source = tmp_path / "src"
+    source.mkdir()
+    for index in range(8):
+        (source / f"f{index}").write_bytes(nibbles(64 << 10, 20 + index))
+    brick_dir = tmp_path / "brick"
+    chain = ("deflate", "aes-256-gcm")
+    do_pack(source, brick_dir, chain)
+    stored = (brick_dir / "f5").read_bytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(3):
+            bounded(lambda: unpack(brick_dir, tmp_path / f"out{round_}", PASSPHRASE, workers=4))
+            assert read_tree(tmp_path / f"out{round_}") == read_tree(source)
+        middle = len(stored) // 2
+        reseal(brick_dir, "f5", stored[:middle] + bytes([stored[middle] ^ 1]) + stored[middle + 1 :])
+        report = bounded(lambda: verify(brick_dir, deep=True, passphrase=PASSPHRASE, workers=4))
+    finally:
+        sys.setswitchinterval(interval)
+    assert kinds(report) == [("f5", KIND_DECODE)]
+    # Eight files, three unpacks and one verify --deep: each file took the stages every time.
+    assert sorted(stage_starts) == sorted(DECODE_STAGES * 8 * 4)
+
+
+def test_an_inflated_payload_never_piles_up_in_memory(tmp_path, monkeypatch, stage_starts):
+    # A read of 64 KiB lets the 70 KB deflate payload of 64 MiB of zeros take the stages.
+    monkeypatch.setattr(payload, "CHUNK_BYTES", 64 << 10)
+    piece = min(payload.CHUNK_BYTES, payload.DEFLATE_BLOCK_BYTES)
+    source = tmp_path / "src"
+    source.mkdir()
+    with open(source / "f", "wb") as handle:
+        handle.truncate(64 << 20)
+    brick_dir = tmp_path / "brick"
+    do_pack(source, brick_dir, ("deflate",))
+    assert (brick_dir / "f").stat().st_size >= payload.CHUNK_BYTES
+    tracemalloc.start()
+    try:
+        unpack(brick_dir, tmp_path / "out", workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stage_starts == [*DECODE_STAGES]
+    # The hand-offs, the piece each stage holds and zlib's window: a few pieces, not 64 MiB.
+    assert peak < 12 * piece
+    assert (tmp_path / "out" / "f").stat().st_size == 64 << 20
+    # Inflating in the stages still stops one byte past the size the manifest lists.
+    reseal(brick_dir, "f", (brick_dir / "f").read_bytes(), plain_size=1000)
+    report = verify(brick_dir, deep=True, workers=2)
+    assert [(f.kind, f.detail) for f in report.findings] == [
+        (KIND_PLAIN_SIZE, "decoded to more than the 1000 bytes the manifest says")
+    ]
+    with pytest.raises(IntegrityError, match="more than the 1000 bytes"):
+        unpack(brick_dir, tmp_path / "bomb", workers=2)
+    assert leftovers(tmp_path / "bomb") == []
+    assert stage_starts == [*DECODE_STAGES] * 3
