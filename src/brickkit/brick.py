@@ -310,6 +310,9 @@ def pack(
 
     # One pool of deflate threads for every entry; it starts its threads on
     # the first block handed to it, so a pack of small files starts none.
+    # A pool per file held more blocks in flight: on four 16 MiB files under
+    # deflate,aes-256-gcm it raised peak RSS from 34.4 to 35.8 MB (median
+    # of 10 pairs).
     blocks = None
     if CODEC_DEFLATE in chain and thread_count > 1:
         blocks = ThreadPoolExecutor(max_workers=thread_count, thread_name_prefix="brick-deflate")

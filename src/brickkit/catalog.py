@@ -126,20 +126,27 @@ def load_media(path: str | Path) -> list[MediaSpec]:
     for line, row in enumerate(_read_rows(path, MEDIA_COLUMNS), start=2):
         name = _field(row, "name", path, line)
 
-        def num(column: str, *, line: int = line, row: dict[str, str] = row) -> float:
-            return _number(_field(row, column, path, line), column, path, line)
+        def num(
+            column: str, *, whole: bool = False, line: int = line, row: dict[str, str] = row
+        ) -> float:
+            value = _number(_field(row, column, path, line), column, path, line)
+            if whole and not value.is_integer():
+                raise ConfigError(
+                    f"{path}: row {line}: {column} must be a whole number, got {value:g}"
+                )
+            return value
 
         media.append(
             MediaSpec(
                 name,
                 media_cost_per_tb=num("media_dollars_per_tb"),
                 robot_cost_per_site=num("robot_dollars_per_site"),
-                robot_sites=int(num("robot_sites")),
+                robot_sites=int(num("robot_sites", whole=True)),
                 write_rate_mbps=num("write_mbps_bytes"),
                 read_rate_mbps=num("read_mbps_bytes"),
                 ship_hours=num("ship_hours"),
                 ship_cost_per_trip=num("ship_dollars_per_trip"),
-                reuse_trips=int(num("reuse_trips")),
+                reuse_trips=int(num("reuse_trips", whole=True)),
             )
         )
     if not media:

@@ -57,6 +57,13 @@ class MediaSpec:
     capacity_tb: float | None = None
 
     def __post_init__(self) -> None:
+        figures = (
+            self.media_cost_per_tb, self.robot_cost_per_site, self.robot_sites,
+            self.write_rate_mbps, self.read_rate_mbps, self.ship_hours,
+            self.ship_cost_per_trip, self.reuse_trips, self.capacity_tb or 0.0,
+        )
+        if not all(math.isfinite(figure) for figure in figures):
+            raise ConfigError(f"media {self.name!r}: every figure must be finite")
         if not (self.write_rate_mbps > 0 and self.read_rate_mbps > 0):
             raise ConfigError(f"media {self.name!r}: drive rates must be > 0 MBps")
         if self.reuse_trips < 1:

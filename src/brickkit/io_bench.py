@@ -89,8 +89,8 @@ class BenchSpec:
             raise ConfigError("exactly one of pass_count and duration_seconds must be set")
         if self.pass_count is not None and self.pass_count < 1:
             raise ConfigError("pass_count must be >= 1")
-        if self.duration_seconds is not None and self.duration_seconds <= 0:
-            raise ConfigError("duration_seconds must be > 0")
+        if self.duration_seconds is not None and not 0 < self.duration_seconds < math.inf:
+            raise ConfigError("duration_seconds must be finite and > 0")
         if self.rng_seed < 0:
             raise ConfigError("rng_seed must be unsigned")
         if self.rng_seed >= 2**64:

@@ -21,6 +21,7 @@ ends of a loopback run in one process each count only their own work.
 
 from __future__ import annotations
 
+import math
 import socket
 import struct
 import time
@@ -150,6 +151,8 @@ def serve(
     """
     if spec.role != ROLE_RECEIVE:
         raise ConfigError("serve() requires a receive-role spec")
+    if accept_timeout is not None and not 0 < accept_timeout < math.inf:
+        raise ConfigError(f"accept timeout must be finite and > 0 seconds, got {accept_timeout}")
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as listener:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((spec.host, spec.port))

@@ -5,10 +5,11 @@ codec chain in order. Chains always place encryption last, so the ciphertext
 layout is uniform: 12-byte random nonce, then ciphertext with the 16-byte
 GCM tag appended.
 
-Both directions stream: a file is read once, in reads of at most
-CHUNK_BYTES, and every digest and codec is fed from that one read, so
-memory stays flat whatever the file size. An encrypted payload is read
-as its three parts in turn: the nonce, the ciphertext, then the tag.
+Both directions stream: a file is read once, in pieces of at most
+min(CHUNK_BYTES, DEFLATE_BLOCK_BYTES), and every digest and codec is fed
+from that one read, so memory stays flat whatever the file size. Inflate
+output comes in pieces of the same bound. An encrypted payload is read as
+its three parts in turn: the nonce, the ciphertext, then the tag.
 
 Deflate runs in blocks of DEFLATE_BLOCK_BYTES, in the manner of pigz: each
 block is primed with the 32 KiB of input before it and ends with a sync
@@ -22,9 +23,9 @@ stages instead, as pigz does when it decompresses. Given more than one
 thread, a deflate payload of at least CHUNK_BYTES is inflated on a thread
 of its own, and its plain bytes are hashed and written on a third, while
 the calling thread reads, hashes and decrypts the payload. The stages hand
-each other pieces of at most min(CHUNK_BYTES, DEFLATE_BLOCK_BYTES) through
-one-piece hand-offs, so memory stays flat here too. With one thread, every
-stage runs on the calling thread.
+each other their pieces through one-piece hand-offs, so memory stays flat
+here too. With one thread, every stage runs on the calling thread, on the
+same pieces.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ NONCE_BYTES = 12
 TAG_BYTES = 16
 DEFLATE_LEVEL = 6
 
+# A file of this size and up gets threads: a pooled entry, decode stages. It also caps the piece.
 CHUNK_BYTES = 1 << 20
 
 # Deflate's unit of parallel work. Each block in flight holds its input and
@@ -118,13 +120,13 @@ class _Sink:
             self._write(data)
 
 
-def _read_chunks(fd: int, size: int, sink: _Sink, most: int | None = None) -> Iterator[bytes]:
-    """Yield the next `size` bytes of fd, each read capped at `most` and fed to sink first.
+def _read_chunks(fd: int, size: int, sink: _Sink) -> Iterator[bytes]:
+    """Yield the next `size` bytes of fd in reads of at most one piece, each fed to sink first.
 
-    `most` is CHUNK_BYTES unless given. Stops early if the file ends first;
-    the caller's digests then show it.
+    The piece, min(CHUNK_BYTES, DEFLATE_BLOCK_BYTES), is looked up on each
+    call. Stops early if the file ends first; the caller's digests then show it.
     """
-    most = most or CHUNK_BYTES
+    most = min(CHUNK_BYTES, DEFLATE_BLOCK_BYTES)
     left = size
     while left > 0:
         chunk = os.read(fd, min(most, left))
@@ -269,14 +271,14 @@ class Decoded(NamedTuple):
 class _Inflate:
     """Deflate decoding stage.
 
-    Each output is bounded by `piece` and by one byte past the expected
-    size, so a forged stream cannot make it allocate or work without limit.
+    Each output is bounded by one piece, min(CHUNK_BYTES, DEFLATE_BLOCK_BYTES),
+    and by one byte past the expected size, so a forged stream cannot make it
+    allocate or work without limit.
     """
 
-    def __init__(self, plain: _Sink, piece: int) -> None:
+    def __init__(self, plain: _Sink) -> None:
         self._decompressor = zlib.decompressobj(-zlib.MAX_WBITS)
         self._plain = plain
-        self._piece = piece
         self.error: str | None = None
 
     def feed(self, data: bytes) -> None:
@@ -284,7 +286,7 @@ class _Inflate:
         plain = self._plain
         try:
             while self.error is None and not plain.overflow:
-                room = min(self._piece, plain.limit + 1 - plain.size)
+                room = min(CHUNK_BYTES, DEFLATE_BLOCK_BYTES, plain.limit + 1 - plain.size)
                 out = z.decompress(data, room)
                 if z.unused_data:
                     self.error = "data after the end of the deflate stream"
@@ -304,9 +306,10 @@ class _Inflate:
 class _Stage:
     """One decode stage on a thread of its own, fed pieces through a one-piece hand-off.
 
-    work() gets each piece in order. Once it raises, the stage keeps taking
-    pieces and drops them, so the stage feeding it never blocks; `failure`
-    holds the exception, and put() raises it to tell that stage to stop.
+    The thread starts when the stage is built; close() ends it. work() gets
+    each piece in order. Once it raises, the stage keeps taking pieces and
+    drops them, so the stage feeding it never blocks; `failure` holds the
+    exception, and put() raises it to tell that stage to stop.
     """
 
     def __init__(self, name: str, work: Callable[[bytes], object]) -> None:
@@ -315,6 +318,7 @@ class _Stage:
         self._pieces: queue.Queue[bytes | None] = queue.Queue(maxsize=1)
         # A daemon, so that an interrupt during close() cannot keep the process alive.
         self._thread = threading.Thread(target=self._run, name=name, daemon=True)
+        self._thread.start()
 
     def _run(self) -> None:
         while (piece := self._pieces.get()) is not None:
@@ -324,9 +328,6 @@ class _Stage:
                 except BaseException as exc:
                     self.failure = exc
 
-    def start(self) -> None:
-        self._thread.start()
-
     def put(self, piece: bytes) -> None:
         if self.failure is not None:
             raise self.failure
@@ -334,17 +335,16 @@ class _Stage:
 
     def close(self) -> None:
         """Wait until the stage has worked through every piece put to it, then end its thread."""
-        if self._thread.is_alive():
-            self._pieces.put(None)
-            self._thread.join()
+        self._pieces.put(None)
+        self._thread.join()
 
 
 def _decrypt(
-    fd: int, size: int, key: bytes, payload: _Sink, feed: Callable[[bytes], None], piece: int
+    fd: int, size: int, key: bytes, payload: _Sink, feed: Callable[[bytes], None]
 ) -> str | None:
     """Read an AES-256-GCM payload as its nonce, ciphertext and tag, handing feed() the plaintext.
 
-    The ciphertext is read in reads of at most `piece` bytes. Returns the
+    The ciphertext is read, and fed on, a piece at a time. Returns the
     GCM error, if any. A payload declared too short for nonce and tag is
     left unread; one that ends early is read up to its end.
     """
@@ -354,7 +354,7 @@ def _decrypt(
     if len(nonce) < NONCE_BYTES:
         return "payload ended before its tag"
     decryptor = Cipher(algorithms.AES(key), modes.GCM(nonce)).decryptor()
-    for chunk in _read_chunks(fd, size - NONCE_BYTES - TAG_BYTES, payload, piece):
+    for chunk in _read_chunks(fd, size - NONCE_BYTES - TAG_BYTES, payload):
         feed(decryptor.update(chunk))
     tag = b"".join(_read_chunks(fd, TAG_BYTES, payload))
     if len(tag) < TAG_BYTES:
@@ -385,10 +385,12 @@ def decode_file(
     With threads > 1, a deflate payload of at least CHUNK_BYTES is decoded
     in three stages: this thread reads, hashes and decrypts it (AES-GCM
     holds the GIL, so a thread of its own would not help), one thread
-    inflates it, and another hashes and writes the plain bytes. Both
-    threads have ended before this returns or raises; an exception in a
-    later stage is raised ahead of one in an earlier stage, since it comes
-    from earlier in the stream. The result is the same as with one thread.
+    inflates it, and another hashes and writes the plain bytes. Each stage's
+    thread starts as the stage is built, and every stage built has ended
+    before this returns or raises, even if the other failed to build. An
+    exception in a later stage is raised ahead of one in an earlier stage,
+    since it comes from earlier in the stream. The result is the same as
+    with one thread.
     """
     payload = _Sink()
     plain = out = None
@@ -401,25 +403,21 @@ def decode_file(
         # `out` hashes and writes the plain bytes, `plain` counts them; on
         # one thread they are the same sink.
         plain = out = _Sink(write, hashed=chain != (CODEC_NONE,), limit=plain_limit)
-        piece = CHUNK_BYTES
         stages: list[_Stage] = []
-        if CODEC_DEFLATE in chain and threads > 1 and size >= CHUNK_BYTES:
-            piece = min(CHUNK_BYTES, DEFLATE_BLOCK_BYTES)
-            stages.append(_Stage("brick-write", out.feed))
-            # The inflating thread counts the plain bytes and stops at the limit.
-            plain = _Sink(stages[0].put, hashed=False, limit=plain_limit)
-        inflate = _Inflate(plain, piece) if CODEC_DEFLATE in chain else None
-        feed = inflate.feed if inflate is not None else plain.feed
-        if stages:
-            stages.insert(0, _Stage("brick-inflate", feed))
-            feed = stages[0].put
         try:
-            for stage in stages:
-                stage.start()
+            if CODEC_DEFLATE in chain and threads > 1 and size >= CHUNK_BYTES:
+                stages.append(_Stage("brick-write", out.feed))
+                # The inflating thread counts the plain bytes and stops at the limit.
+                plain = _Sink(stages[0].put, hashed=False, limit=plain_limit)
+            inflate = _Inflate(plain) if CODEC_DEFLATE in chain else None
+            feed = inflate.feed if inflate is not None else plain.feed
+            if stages:
+                stages.insert(0, _Stage("brick-inflate", feed))
+                feed = stages[0].put
             if encrypted:
-                error = _decrypt(fd, size, key, payload, feed, piece)
+                error = _decrypt(fd, size, key, payload, feed)
             else:
-                for chunk in _read_chunks(fd, size, payload, piece):
+                for chunk in _read_chunks(fd, size, payload):
                     feed(chunk)
         finally:
             for stage in stages:

@@ -81,6 +81,10 @@ def test_load_media_round_trip(tmp_path):
 def test_load_media_errors(tmp_path):
     with pytest.raises(ConfigError, match="row 2"):
         load_media(_media_csv(tmp_path, ["Tape,1000,15000,two,6,6,24,0,10"]))
+    with pytest.raises(ConfigError, match="finite"):
+        load_media(_media_csv(tmp_path, ["Tape,1000,15000,2,nan,6,24,0,10"]))
+    with pytest.raises(ConfigError, match="row 2: reuse_trips must be a whole number, got 2.7"):
+        load_media(_media_csv(tmp_path, ["Tape,1000,15000,2,6,6,24,0,2.7"]))
     short = tmp_path / "short.csv"
     short.write_text(",".join(MEDIA_COLUMNS) + "\nTape,1000\n")
     with pytest.raises(ConfigError):

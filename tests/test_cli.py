@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from brickkit import brick as brick_mod
+from brickkit.catalog import MEDIA_COLUMNS
 from brickkit.cli import _append_csv, main
 from brickkit.net_bench import HANDSHAKE
 from conftest import FAST_KDF_ITERATIONS
@@ -94,6 +95,25 @@ def test_plan_rejects_zero_size(capsys):
 def test_plan_rejects_binary_units_with_hint(capsys):
     assert main(["plan", "10TiB"]) == 2
     assert "TiB" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "Tape,nan,15000,2,6,6,24,0,10",
+        "Tape,1000,15000,2,6,6,inf,0,10",
+        "Tape,1000,15000,nan,6,6,24,0,10",
+        "Tape,1000,15000,1.9,6,6,24,0,10",
+        "Tape,1000,15000,2,6,6,24,0,2.7",
+    ],
+    ids=["nan-cost", "inf-ship-hours", "nan-sites", "fractional-sites", "fractional-trips"],
+)
+@pytest.mark.parametrize("command", [["tables"], ["plan", "10TB"]], ids=["tables", "plan"])
+def test_bad_media_catalog_rows_are_config_errors(tmp_path, capsys, command, row):
+    catalog = tmp_path / "media.csv"
+    catalog.write_text(f"{','.join(MEDIA_COLUMNS)}\n{row}\n")
+    assert main([*command, "--media", str(catalog)]) == 2
+    assert one_line_error(capsys.readouterr().err)
 
 
 def test_plan_missing_catalog_is_io_error(capsys):
@@ -541,6 +561,14 @@ def test_bench_net_receiver_rejects_garbage_with_protocol_code(capsys):
     thread.join(timeout=15.0)
     capsys.readouterr()
     assert outcome["code"] == 4
+
+
+@pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
+def test_bench_net_receiver_refuses_a_bad_accept_timeout(capsys, timeout):
+    argv = ["bench-net", "receive", "--port", str(free_port()), "--accept-timeout", timeout]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert one_line_error(err) and "accept timeout" in err
 
 
 def test_bench_net_bad_record_size_is_config_error(capsys):

@@ -62,6 +62,8 @@ def spec_for(tmp_path: Path, name="disk.bin", **overrides) -> BenchSpec:
         {"pass_count": 1, "duration_seconds": 1.0},  # both stop rules
         {"pass_count": 0},
         {"pass_count": None, "duration_seconds": 0.0},
+        {"pass_count": None, "duration_seconds": math.nan},  # never reaches its deadline
+        {"pass_count": None, "duration_seconds": math.inf},
         {"rng_seed": -1},
         {"verify_pattern": True},       # verify is read-only
     ],

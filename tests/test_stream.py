@@ -153,7 +153,7 @@ def deflate_block(request, monkeypatch):
     return payload.DEFLATE_BLOCK_BYTES
 
 
-DECODE_STAGES = ("brick-inflate", "brick-write")
+DECODE_STAGES = ("brick-write", "brick-inflate")  # in the order they start
 
 
 @pytest.fixture
@@ -1208,13 +1208,55 @@ def test_only_large_deflate_payloads_start_decode_threads(tmp_path, monkeypatch,
             pipelined = "deflate" in chain and workers > 1
             # Once for verify --deep and once for unpack, and only for the large payload.
             assert stage_starts == [*DECODE_STAGES] * 2 * pipelined, (chain, workers)
-            # The stages read and write in pieces, where one thread reads and writes in chunks.
-            assert max(sizes) == (piece if pipelined else big), (chain, workers)
+            # One thread and the stages alike read and write in pieces.
+            assert max(sizes) == piece, (chain, workers)
             assert read_tree(tmp_path / f"out-{brick_dir.name}-{workers}") == read_tree(source)
     # A shallow verify decodes nothing.
     stage_starts.clear()
     assert verify(tmp_path / "deflate", workers=2).ok
     assert stage_starts == []
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 4096], ids=["chunk1M", "chunk4K"])
+@pytest.mark.parametrize("chain", CHAINS, ids=CHAIN_IDS)
+def test_no_read_or_write_exceeds_one_piece(tmp_path, monkeypatch, chain, chunk_bytes):
+    if chunk_bytes is not None:
+        monkeypatch.setattr(payload, "CHUNK_BYTES", chunk_bytes)
+    piece = min(payload.CHUNK_BYTES, payload.DEFLATE_BLOCK_BYTES)
+    real_read, real_write, reads, writes = os.read, os.write, [], []
+
+    def read(fd, count):
+        reads.append(count)
+        return real_read(fd, count)
+
+    def write(fd, data):
+        writes.append(len(data))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "read", read)
+    monkeypatch.setattr(os, "write", write)
+    source = tmp_path / "src"
+    source.mkdir()
+    (source / "large").write_bytes(nibbles(3 * payload.CHUNK_BYTES, 16))
+    (source / "small").write_bytes(nibbles(piece // 2, 17))
+    passphrase = passphrase_for(chain)
+    for workers in (1, 2):
+        brick_dir = tmp_path / f"brick{workers}"
+        reads.clear()
+        pack(
+            source, brick_dir, codec_chain=chain, passphrase=passphrase,
+            kdf_iterations=FAST_KDF_ITERATIONS, workers=workers,
+        )
+        assert max(reads) == piece, ("pack", workers)
+        for name, operation in (
+            ("verify --deep", lambda: verify(brick_dir, True, passphrase, workers)),
+            ("unpack", lambda: unpack(brick_dir, tmp_path / f"out{workers}", passphrase, workers)),
+        ):
+            reads.clear()
+            writes.clear()
+            operation()
+            assert max(reads + writes) == piece, (name, workers)
+        assert read_tree(tmp_path / f"out{workers}") == read_tree(source)
 
 
 def test_an_earlier_write_failure_is_raised_ahead_of_a_later_read_failure(tmp_path, monkeypatch):
@@ -1250,6 +1292,32 @@ def test_an_earlier_write_failure_is_raised_ahead_of_a_later_read_failure(tmp_pa
         finally:
             os.close(fd)
         assert raised.value.errno == errno.ENOSPC, threads
+
+
+def test_a_stage_that_fails_to_start_ends_the_one_built_before_it(tmp_path, monkeypatch):
+    source = tmp_path / "src"
+    source.mkdir()
+    (source / "f").write_bytes(nibbles(4 * payload.CHUNK_BYTES, 18))
+    brick_dir = tmp_path / "brick"
+    entry = do_pack(source, brick_dir, ("deflate",)).manifest.entries[0]
+    real_start = threading.Thread.start
+
+    def start(thread):
+        if thread.name == "brick-inflate":
+            raise RuntimeError("can't start new thread")
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    threads_before = threading.active_count()
+    fd = os.open(brick_dir / "f", os.O_RDONLY)
+    try:
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            bounded(lambda: payload.decode_file(
+                fd, entry.payload_size, ("deflate",), None, entry.plain_size, None, 2
+            ))
+    finally:
+        os.close(fd)
+    assert threading.active_count() == threads_before
 
 
 def test_many_pipelines_at_once_on_a_busy_interpreter(tmp_path, monkeypatch, stage_starts):
