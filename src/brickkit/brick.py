@@ -52,6 +52,11 @@ KIND_DECODE = "decode-failure"
 KIND_PLAIN_SIZE = "plain-size-mismatch"
 KIND_PLAIN_DIGEST = "plain-digest-mismatch"
 
+# Up to `workers` large files share pack's deflate pool, each with at most
+# threads + 1 blocks in flight: about (workers + 1)^2 blocks of 256 KiB plus
+# their 32 KiB primers at the cap, 1.2 GiB at 64.
+MAX_WORKERS = 64
+
 
 @dataclass(frozen=True)
 class PackResult:
@@ -180,11 +185,11 @@ def _resolve_key(
 
 
 def _worker_count(workers: int | None) -> int:
-    """None means one thread per core, up to 8; anything else must be at least 1."""
+    """None means one thread per core, up to 8; anything else must be in [1, MAX_WORKERS]."""
     if workers is None:
         return max(1, min(8, os.cpu_count() or 1))
-    if workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {workers}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ConfigError(f"workers must be between 1 and {MAX_WORKERS}, got {workers}")
     return workers
 
 

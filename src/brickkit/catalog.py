@@ -78,7 +78,8 @@ MEDIA_COLUMNS = (
 
 
 def _read_rows(path: Path, columns: tuple[str, ...]) -> list[dict[str, str]]:
-    with open(path, encoding="utf-8", newline="") as handle:
+    # utf-8-sig drops the byte-order mark that spreadsheet programs save "CSV UTF-8" with
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise ConfigError(f"{path}: empty catalog, header row is mandatory")

@@ -9,7 +9,11 @@ Every run is laid out by one chunk map, chunk index to (target, offset).
 Plain runs fill the targets one after another: with S blocks per target,
 chunk i lands on target (i div S) at offset (i mod S) x block. Striped
 runs address one logical byte stream across N targets RAID0 style: chunk
-i lands on target (i mod N) at offset (i div N) x unit.
+i lands on target (i mod N) at offset (i div N) x unit. A run is one
+iterator of (target, offset) pairs, the chunk order mapped through the
+chunk map; it ends when a pass-count run has claimed its passes, when a
+duration run passes its deadline, or when poison() ends it after a worker
+failed. A file may appear only once among the targets.
 
 All sizes are plain bytes. Reported mbps is 10^6 bytes per second.
 """
@@ -17,6 +21,7 @@ All sizes are plain bytes. Reported mbps is 10^6 bytes per second.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import mmap
 import os
@@ -261,16 +266,19 @@ class _Reservoir:
 
 
 class _WorkStream:
-    """Shared claim point: hands out (target, offset) pairs one at a time.
+    """Shared claim point: hands out a run's (target, offset) pairs one at a time.
 
-    A run's layout is its chunk map: chunks in one pass and place(i), the
-    (target, offset) of chunk i. Sequential runs walk the chunks in order,
-    pass after pass; random runs draw each chunk from a generator seeded
-    with rng_seed. Claims happen under one lock, so the claimed sequence
-    is reproducible from the seed, and the in-flight counter's high-water
-    mark is an upper bound witness for the depth contract. A claim also
-    adds the caller's last latency to the reservoir, which has no lock of
-    its own, so each IO takes one lock.
+    A run is one iterator of (target, offset) pairs, built when the run
+    starts: the chunk order mapped through place(i), the (target, offset)
+    of chunk i. Sequential runs walk the chunks in order, pass after pass;
+    random runs draw each chunk from one random.Random seeded with
+    rng_seed. A pass-count run is cut to pass_count x chunks pairs; a
+    duration run also stops at its deadline, checked before each draw.
+    poison() ends any run by swapping in an empty iterator. Claims happen
+    under one lock, so the claimed sequence is reproducible from the seed,
+    and the in-flight counter's high-water mark is an upper bound witness
+    for the depth contract. A claim also adds the caller's last latency to
+    the reservoir, which has no lock of its own, so each IO takes one lock.
     """
 
     def __init__(
@@ -280,13 +288,15 @@ class _WorkStream:
         place: Callable[[int], tuple[int, int]],
         record: bool,
     ):
-        self._chunks = chunks
-        self._place = place
-        self._rng = random.Random(spec.rng_seed) if spec.pattern == PATTERN_RANDOM else None
+        if spec.pattern == PATTERN_RANDOM:
+            order = map(random.Random(spec.rng_seed).randrange, itertools.repeat(chunks))
+        else:  # range, not cycle: cycle keeps a copy of the whole first pass
+            order = itertools.chain.from_iterable(itertools.repeat(range(chunks)))
         if spec.pass_count is not None:
-            self._remaining, self._deadline = spec.pass_count * chunks, None
+            order, self._deadline = itertools.islice(order, spec.pass_count * chunks), None
         else:
-            self._remaining, self._deadline = None, time.perf_counter() + spec.duration_seconds
+            self._deadline = time.perf_counter() + spec.duration_seconds
+        self._pairs = map(place, order)
         self._recorded: list[tuple[int, int]] | None = [] if record else None
         self._lock = threading.Lock()
         self._in_flight = 0
@@ -300,16 +310,11 @@ class _WorkStream:
             if latency is not None:
                 self.latencies.add(latency)
                 self._in_flight -= 1
-            if self._remaining is not None:
-                if self._remaining == 0:
-                    return None
-                self._remaining -= 1
             if self._deadline is not None and time.perf_counter() >= self._deadline:
                 return None
-            if self._rng is None:
-                pair = self._place(self.claimed % self._chunks)
-            else:
-                pair = self._place(self._rng.randrange(self._chunks))
+            pair = next(self._pairs, None)
+            if pair is None:
+                return None
             if self._recorded is not None:
                 self._recorded.append(pair)
             self.claimed += 1
@@ -321,7 +326,7 @@ class _WorkStream:
     def poison(self) -> None:
         """Stop handing out work; a worker failed and the run is void."""
         with self._lock:
-            self._remaining = 0
+            self._pairs = iter(())
 
     def recorded(self) -> tuple[tuple[int, int], ...] | None:
         if self._recorded is None:
@@ -333,7 +338,10 @@ def _open_targets(spec: BenchSpec, size: int) -> tuple[list[int], bool]:
     """Open every target once, preferring cache-bypassing opens when asked.
 
     Falls back to buffered IO for the whole run if any target refuses the
-    bypass flag (tmpfs and many network filesystems do). A write run sizes
+    bypass flag (tmpfs and many network filesystems do). Refuses a file
+    named twice, also through another path or a symlink, before it sizes
+    any target: the run would count the file's bytes twice, and a verified
+    read would check them against two targets' patterns. A write run sizes
     each target through the descriptor it writes with; a read run checks
     each size on the descriptor it reads.
     """
@@ -341,21 +349,27 @@ def _open_targets(spec: BenchSpec, size: int) -> tuple[list[int], bool]:
     bypass = spec.cache_bypass and hasattr(os, "O_DIRECT")
     while True:
         fds: list[int] = []
+        seen: dict[tuple[int, int], Path] = {}
         try:
             for target in spec.targets:
                 fds.append(os.open(target, flags | (os.O_DIRECT if bypass else 0), 0o644))
-                if spec.op == OP_WRITE:
-                    os.ftruncate(fds[-1], size)
-                    if hasattr(os, "posix_fallocate"):
-                        try:
-                            os.posix_fallocate(fds[-1], 0, size)
-                        except OSError:
-                            pass  # allocation is an optimization, not a contract
-                elif (actual := os.fstat(fds[-1]).st_size) < size:
+                info = os.fstat(fds[-1])
+                if (first := seen.get((info.st_dev, info.st_ino))) is not None:
+                    raise ConfigError(f"targets {first} and {target} are the same file")
+                seen[info.st_dev, info.st_ino] = target
+                if spec.op == OP_READ and info.st_size < size:
                     raise ConfigError(
-                        f"{target} is {actual} bytes but the run needs {size};"
+                        f"{target} is {info.st_size} bytes but the run needs {size};"
                         " run a write pass first"
                     )
+            if spec.op == OP_WRITE:  # size only once every target is known to be distinct
+                for fd in fds:
+                    os.ftruncate(fd, size)
+                    if hasattr(os, "posix_fallocate"):
+                        try:
+                            os.posix_fallocate(fd, 0, size)
+                        except OSError:
+                            pass  # allocation is an optimization, not a contract
             return fds, bypass
         except BaseException as exc:
             for fd in fds:

@@ -21,6 +21,7 @@ from brickkit.brick import (
     KIND_PAYLOAD_DIGEST,
     KIND_PLAIN_DIGEST,
     KIND_SIZE,
+    MAX_WORKERS,
     load_manifest,
     pack,
     unpack,
@@ -167,7 +168,7 @@ def test_pack_passphrase_pairing(tmp_path):
         pack(source, tmp_path / "b2", codec_chain=("none",), passphrase="pointless")
 
 
-@pytest.mark.parametrize("workers", [0, -1])
+@pytest.mark.parametrize("workers", [0, -1, MAX_WORKERS + 1])  # and above the cap
 def test_workers_below_one_is_a_config_error(tmp_path, workers):
     brick_dir, _ = packed_brick(tmp_path)
     with pytest.raises(ConfigError, match="workers"):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from brickkit import brick as brick_mod
-from brickkit.catalog import MEDIA_COLUMNS
+from brickkit.catalog import LINK_COLUMNS, MEDIA_COLUMNS
 from brickkit.cli import _append_csv, main
 from brickkit.net_bench import HANDSHAKE
 from conftest import FAST_KDF_ITERATIONS
@@ -116,6 +116,22 @@ def test_bad_media_catalog_rows_are_config_errors(tmp_path, capsys, command, row
     assert one_line_error(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command", [["tables"], ["plan", "10TB"]], ids=["tables", "plan"])
+def test_catalogs_with_a_byte_order_mark_read_as_without(tmp_path, capsys, command):
+    links = [",".join(LINK_COLUMNS), "T1,1.544,1200", "OC3,155,50000"]
+    media = [",".join(MEDIA_COLUMNS), "Tape,1000,15000,2,6,6,24,0,10", "DVD,500,0,1,8,8,24,20,1"]
+    outputs = []
+    for mark in ("", "\ufeff"):  # spreadsheets save "CSV UTF-8" with a leading U+FEFF
+        folder = tmp_path / ("bom" if mark else "plain")
+        folder.mkdir()
+        (folder / "links.csv").write_text(mark + "\n".join(links) + "\n", encoding="utf-8")
+        (folder / "media.csv").write_text(mark + "\n".join(media) + "\n", encoding="utf-8")
+        flags = ["--links", str(folder / "links.csv"), "--media", str(folder / "media.csv")]
+        assert main([*command, *flags]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and "Tape" in outputs[0]
+
+
 def test_plan_missing_catalog_is_io_error(capsys):
     assert main(["plan", "10TB", "--links", "no/such/file.csv"]) == 3
     assert "io error" in capsys.readouterr().err
@@ -202,16 +218,26 @@ def test_unset_passphrase_variable_is_config_error(tmp_path, capsys, monkeypatch
 
 @pytest.mark.parametrize(
     "flags",
-    [["--workers", "-1"], ["--workers", "0"], ["--codec", "aes-256-gcm", "--iterations", "0"]],
-    ids=["workers-1", "workers0", "iterations0"],
+    [
+        ["--workers", "-1"], ["--workers", "0"], ["--workers", "65"],
+        ["--codec", "aes-256-gcm", "--iterations", "0"],
+    ],
+    ids=["workers-1", "workers0", "workers65", "iterations0"],
 )
 def test_pack_out_of_range_numbers_are_config_errors(tmp_path, capsys, monkeypatch, flags):
     monkeypatch.setenv("BRICK_TEST_PASS", "pw")
     argv = ["pack", str(make_tree(tmp_path)), str(tmp_path / "b"), *flags]
     if "aes-256-gcm" in flags:
         argv += ["--passphrase-env", "BRICK_TEST_PASS"]
+
+    def no_thread(self):
+        raise AssertionError("a refused value started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     assert main(argv) == 2
-    assert flags[-2].lstrip("-") in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert one_line_error(err) and flags[-2].lstrip("-") in err
+    assert not (tmp_path / "b").exists()
 
 
 def test_verify_reports_bit_flip_with_path(tmp_path, capsys):
@@ -439,6 +465,32 @@ def test_bench_io_stripe_through_cli(tmp_path, capsys):
     assert "3 target(s)" in capsys.readouterr().out
     sizes = {Path(t).stat().st_size for t in targets}
     assert sizes == {4 * 64 * 1024}  # ceil(12/3) = 4 chunks per member
+
+
+@pytest.mark.parametrize(
+    "layout", [[], ["--block", "64K", "--stripe-unit", "64K"]], ids=["plain", "striped"]
+)
+@pytest.mark.parametrize("alias", ["same-path", "symlink"])
+def test_bench_io_refuses_a_file_named_twice(tmp_path, capsys, alias, layout):
+    first = tmp_path / "a"
+    second = first if alias == "same-path" else tmp_path / "link"
+    if alias == "symlink":
+        second.symlink_to(first)
+    base = ["bench-io", "--size", "1M", "--no-direct", *layout]
+    twice = ["--target", str(first), "--target", str(second)]
+    assert main([*base, "--op", "write", *twice]) == 2
+    err = capsys.readouterr().err
+    assert one_line_error(err) and f"targets {first} and {second} are the same file" in err
+    assert first.stat().st_size == 0  # no block written
+    assert main([*base, "--op", "write", "--target", str(first)]) == 0
+    healthy = first.read_bytes()
+    capsys.readouterr()
+    for op in (["--op", "read", "--verify"], ["--op", "write"]):
+        assert main([*base, *op, *twice]) == 2
+        assert one_line_error(capsys.readouterr().err)
+    assert first.read_bytes() == healthy
+    assert main([*base, "--op", "read", "--verify", "--target", str(first)]) == 0
+    capsys.readouterr()
 
 
 def test_bench_io_csv_header_written_once(tmp_path, capsys):

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import errno
 import hashlib
+import itertools
 import math
 import os
 import random
+import re
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -169,6 +172,51 @@ def test_duration_mode_runs_and_stops(tmp_path):
     assert report.elapsed_seconds < 10.0
 
 
+@pytest.mark.parametrize("pattern", ["sequential", "random"])
+def test_a_duration_run_claims_the_pass_mode_sequence(tmp_path, pattern):
+    fields = dict(block_bytes=8 * KB, target_bytes=256 * KB, rng_seed=11)
+    run_io_bench(spec_for(tmp_path, **fields))  # provide bytes to read
+    read = spec_for(tmp_path, op="read", pattern=pattern, **fields)
+    timed = run_io_bench(
+        replace(read, pass_count=None, duration_seconds=0.1), record_offsets=True
+    )
+    assert timed.io_count > 32  # past the end of the first pass
+    counted = run_io_bench(replace(read, pass_count=timed.io_count // 32 + 1), record_offsets=True)
+    assert timed.offsets == counted.offsets[: timed.io_count]
+
+
+@pytest.mark.parametrize("where", ["on-disk", "in-one-read"])
+def test_a_failed_duration_run_stops_at_once(tmp_path, monkeypatch, where):
+    fields = dict(block_bytes=8 * KB, target_bytes=MB, rng_seed=7)
+    run_io_bench(spec_for(tmp_path, **fields))
+    if where == "on-disk":  # every worker that draws this block fails
+        with open(tmp_path / "disk.bin", "r+b") as handle:
+            handle.seek(500_000)
+            original = handle.read(1)
+            handle.seek(500_000)
+            handle.write(bytes([original[0] ^ 0x01]))
+        expected = "at byte 500000$"
+    else:  # one worker fails once; only poison() stops the other
+        reads, real_preadv = itertools.count(), os.preadv
+
+        def flip_the_first_read(fd, buffers, offset):
+            moved = real_preadv(fd, buffers, offset)
+            if next(reads) == 0:
+                buffers[0][17] ^= 0x01
+            return moved
+
+        monkeypatch.setattr(os, "preadv", flip_the_first_read)
+        expected = "pattern mismatch"
+    read = spec_for(
+        tmp_path, op="read", pattern="random", verify_pattern=True,
+        pass_count=None, duration_seconds=30, **fields,
+    )
+    started = time.perf_counter()
+    with pytest.raises(IntegrityError, match=expected):
+        run_io_bench(read)
+    assert time.perf_counter() - started < 10
+
+
 def test_depth_high_water_bounded_by_depth(tmp_path):
     report = run_io_bench(spec_for(tmp_path, queue_depth=8, target_bytes=8 * MB))
     assert 1 <= report.depth_high_water <= 8
@@ -269,6 +317,33 @@ def test_a_verified_read_may_use_another_block_size(tmp_path, write_block, read_
     sequential = replace(read, pattern="sequential")
     with pytest.raises(IntegrityError, match=f"at byte {poison_at}$"):
         run_io_bench(sequential)
+
+
+@pytest.mark.parametrize("striped", [False, True], ids=["plain", "striped"])
+@pytest.mark.parametrize("alias", ["same-path", "symlink"])
+def test_a_file_named_twice_among_targets_is_refused(tmp_path, alias, striped):
+    first = tmp_path / "a.bin"
+    second = first if alias == "same-path" else tmp_path / "link.bin"
+    if alias == "symlink":
+        second.symlink_to(first)
+
+    def run(targets, **fields):
+        spec = spec_for(tmp_path, targets=targets, target_bytes=MB, rng_seed=7, **fields)
+        if striped:
+            return run_stripe_bench(spec, StripeSet(targets, stripe_unit_bytes=spec.block_bytes))
+        return run_io_bench(spec)
+
+    refusal = re.escape(f"targets {first} and {second} are the same file")
+    with pytest.raises(ConfigError, match=refusal):
+        run((first, second))
+    assert first.stat().st_size == 0  # the open created it; nothing sized or written
+    run((first,))
+    healthy = first.read_bytes()
+    for fields in ({}, {"op": "read", "verify_pattern": True}):
+        with pytest.raises(ConfigError, match=refusal):
+            run((first, second), **fields)
+    assert first.read_bytes() == healthy
+    assert run((first,), op="read", verify_pattern=True).io_count == 16
 
 
 def test_read_needs_prewritten_bytes(tmp_path):
