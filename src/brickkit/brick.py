@@ -19,7 +19,7 @@ import os
 import stat
 import threading
 import unicodedata
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -51,6 +51,9 @@ KIND_EXTRA = "extra-file"
 KIND_DECODE = "decode-failure"
 KIND_PLAIN_SIZE = "plain-size-mismatch"
 KIND_PLAIN_DIGEST = "plain-digest-mismatch"
+
+# Open errors that mean no regular file is there; ELOOP is O_NOFOLLOW meeting a symlink.
+_NOT_FOUND = (errno.ENOENT, errno.ENOTDIR, errno.EISDIR, errno.ELOOP)
 
 # Up to `workers` large files share pack's deflate pool, each with at most
 # threads + 1 blocks in flight: about (workers + 1)^2 blocks of 256 KiB plus
@@ -199,13 +202,17 @@ def _run_entries(
     """Run work(job) for every job and return the results in job order.
 
     Pack, verify and unpack share this rule: a job whose file is under
-    payload.CHUNK_BYTES runs inline, where a hand-off costs more than the
-    work; larger jobs go to a pool of `workers` threads, where hashing, zlib
-    and file IO release the GIL. Once a job raises, no further job starts.
-    This pool spreads files, not the work within one: under deflate, pack
-    also hands the blocks of each file over payload.DEFLATE_BLOCK_BYTES,
-    inline or pooled, to its block pool, so one large file uses every core,
-    and a deep check or unpack inflates a pooled file on threads of its own.
+    payload.CHUNK_BYTES (256 KiB) runs inline, where a hand-off costs more
+    than the work; larger jobs go to a pool of `workers` threads, where
+    hashing, zlib and file IO release the GIL. At most 2 * workers pooled
+    jobs are unfinished at once: when the window is full, this thread waits
+    for one to end and keeps only its result, so memory does not grow with
+    the number of large files. Once a job raises, no further job starts; a
+    pooled job's failure keeps its place and is raised in job order. This
+    pool spreads files, not the work within one: under deflate, pack also
+    hands the blocks of each file over payload.CHUNK_BYTES, inline or
+    pooled, to its block pool, so one large file uses every core, and a
+    deep check or unpack inflates a pooled file on threads of its own.
     """
     stop = threading.Event()
 
@@ -219,13 +226,23 @@ def _run_entries(
             raise
 
     results: list[Any] = []
+    unfinished: dict[Future, int] = {}  # each pooled job's place in results
     with ThreadPoolExecutor(max_workers=workers) as pool:
         try:
             for job in jobs:
                 if stop.is_set():
                     break
-                pooled = workers > 1 and size(job) >= payload_mod.CHUNK_BYTES
-                results.append(pool.submit(run, job) if pooled else run(job))
+                if workers == 1 or size(job) < payload_mod.CHUNK_BYTES:
+                    results.append(run(job))
+                    continue
+                if len(unfinished) == 2 * workers:
+                    for future in wait(unfinished, return_when=FIRST_COMPLETED).done:
+                        index = unfinished.pop(future)
+                        if future.exception() is None:  # a failure stays, to be raised in order
+                            results[index] = future.result()
+                future = pool.submit(run, job)
+                unfinished[future] = len(results)
+                results.append(future)
             return [r.result() if isinstance(r, Future) else r for r in results]
         finally:
             stop.set()  # an interrupt must not leave queued jobs to start
@@ -242,10 +259,11 @@ def pack(
 ) -> PackResult:
     """Pack source_dir into a new brick at brick_dir.
 
-    Each source file is read once, in bounded chunks, and streamed through
-    the codec chain into its payload. Under deflate, the blocks of a file
-    over payload.DEFLATE_BLOCK_BYTES are deflated on one pool of `workers`
-    threads that all entries share.
+    Each source file is read once, in chunks of at most payload.CHUNK_BYTES
+    (256 KiB), and streamed through the codec chain into its payload. A file
+    of one chunk and up is packed on a pool thread unless `workers` is 1.
+    Under deflate, the blocks of a file over one chunk are deflated on one
+    pool of `workers` threads that all entries share.
     """
     source_dir = Path(source_dir)
     brick_dir = Path(brick_dir)
@@ -354,10 +372,20 @@ def pack(
 
 
 def load_manifest(brick_dir: Path) -> Manifest:
-    path = Path(brick_dir) / MANIFEST_FILENAME
-    if not path.is_file():
-        raise IntegrityError(f"{brick_dir} has no {MANIFEST_FILENAME}; not a brick")
-    return parse_manifest(path.read_bytes())
+    """Parse brick_dir's manifest; a symlink, FIFO or directory in its place is no manifest."""
+    not_a_brick = IntegrityError(f"{brick_dir} has no {MANIFEST_FILENAME}; not a brick")
+    try:
+        fd = os.open(
+            f"{brick_dir}/{MANIFEST_FILENAME}", os.O_RDONLY | os.O_NONBLOCK | os.O_NOFOLLOW
+        )
+    except OSError as exc:
+        if exc.errno not in _NOT_FOUND:
+            raise
+        raise not_a_brick from None
+    with open(fd, "rb") as manifest:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise not_a_brick
+        return parse_manifest(manifest.read())
 
 
 def _judge(entry: ChunkEntry, decoded: payload_mod.Decoded, deep: bool) -> Finding | None:
@@ -385,13 +413,18 @@ def _check_entry(
 ) -> tuple[Finding | None, int]:
     """Most precise single finding for one entry, plus bytes read.
 
-    A deep check hands the decoded bytes to write() as they appear; with
-    threads > 1, a large deflate payload is inflated on threads of its own.
+    A symlink, FIFO or directory in the payload's place is a missing payload:
+    the shipped brick would not hold those bytes. A deep check hands the
+    decoded bytes to write() as they appear; with threads > 1, a deflate
+    payload of payload.CHUNK_BYTES and up is inflated on threads of its own.
     """
     try:
-        # A FIFO planted in a brick must not block the open; fstat then rejects it.
-        fd = os.open(f"{root}/{entry.path}", os.O_RDONLY | os.O_NONBLOCK)
-    except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
+        # A FIFO planted in a brick must not block the open, nor a symlink be
+        # followed; fstat then rejects whatever is not a regular file.
+        fd = os.open(f"{root}/{entry.path}", os.O_RDONLY | os.O_NONBLOCK | os.O_NOFOLLOW)
+    except OSError as exc:
+        if exc.errno not in _NOT_FOUND:
+            raise
         return Finding(entry.path, KIND_MISSING, "payload file not found"), 0
     try:
         info = os.fstat(fd)
@@ -413,9 +446,10 @@ def verify(
 ) -> VerifyReport:
     """Check a brick against its manifest; never raises for per-file defects.
 
-    Each payload is read once, deep or not. A deep check of a deflate
-    payload of payload.CHUNK_BYTES and up inflates it on threads of its own
-    unless `workers` is 1.
+    Each payload is read once, deep or not, and never through a symlink in
+    its place. Unless `workers` is 1, a payload of payload.CHUNK_BYTES
+    (256 KiB) and up is checked on a pool thread, and a deep check of a
+    deflate payload that size inflates it on threads of its own.
     """
     brick_dir = Path(brick_dir)
     thread_count = _worker_count(workers)
@@ -517,9 +551,11 @@ def unpack(
     tag and the plain digest all match. Fails fast on the first bad payload:
     no further file is started, its scratch file and any directory left
     empty are removed, and files already restored are left in place so a
-    rerun after repair can be compared against them. Unless `workers` is 1,
-    a deflate payload of payload.CHUNK_BYTES and up is inflated, and its
-    plain bytes hashed and written, on two threads beside the one reading it.
+    rerun after repair can be compared against them. A symlink in a
+    payload's place is a missing payload, never followed. Unless `workers`
+    is 1, a payload of payload.CHUNK_BYTES (256 KiB) and up is restored on a
+    pool thread, and a deflate payload that size is inflated, and its plain
+    bytes hashed and written, on two threads beside the one reading it.
     """
     brick_dir = Path(brick_dir)
     dest_dir = Path(dest_dir)

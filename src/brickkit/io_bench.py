@@ -343,16 +343,36 @@ def _open_targets(spec: BenchSpec, size: int) -> tuple[list[int], bool]:
     any target: the run would count the file's bytes twice, and a verified
     read would check them against two targets' patterns. A write run sizes
     each target through the descriptor it writes with; a read run checks
-    each size on the descriptor it reads.
+    each size on the descriptor it reads. If the run is refused or an open
+    fails, a write run removes the targets it created; a target that
+    existed before the run is never removed.
     """
     flags = os.O_RDONLY if spec.op == OP_READ else os.O_WRONLY | os.O_CREAT
     bypass = spec.cache_bypass and hasattr(os, "O_DIRECT")
+    created: set[Path] = set()  # kept across the buffered retry
+
+    def open_target(target: Path) -> int:
+        mode = flags | (os.O_DIRECT if bypass else 0)
+        if spec.op == OP_WRITE:
+            try:
+                fd = os.open(target, mode | os.O_EXCL, 0o644)
+            except FileExistsError:
+                pass
+            except OSError:
+                if os.path.lexists(target):  # created, then the bypass was refused
+                    created.add(target)
+                raise
+            else:
+                created.add(target)
+                return fd
+        return os.open(target, mode, 0o644)
+
     while True:
         fds: list[int] = []
         seen: dict[tuple[int, int], Path] = {}
         try:
             for target in spec.targets:
-                fds.append(os.open(target, flags | (os.O_DIRECT if bypass else 0), 0o644))
+                fds.append(open_target(target))
                 info = os.fstat(fds[-1])
                 if (first := seen.get((info.st_dev, info.st_ino))) is not None:
                     raise ConfigError(f"targets {first} and {target} are the same file")
@@ -375,6 +395,8 @@ def _open_targets(spec: BenchSpec, size: int) -> tuple[list[int], bool]:
             for fd in fds:
                 os.close(fd)
             if not (bypass and isinstance(exc, OSError)):
+                for target in created:
+                    target.unlink(missing_ok=True)
                 raise
         bypass = False  # a target refused the bypass: retry them all buffered
 
@@ -459,7 +481,11 @@ def _execute(
 
 
 def run_io_bench(spec: BenchSpec, record_offsets: bool = False) -> BenchReport:
-    """Run a single-file (or round-robin multi-file) bench."""
+    """Run a bench over one target or several, filled one after another.
+
+    With S blocks per target, chunk i lands in target i // S at block i % S:
+    a sequential run writes or reads the first target, then the next.
+    """
     slots = spec.slots_per_target
 
     def place(chunk: int) -> tuple[int, int]:

@@ -6,15 +6,15 @@ layout is uniform: 12-byte random nonce, then ciphertext with the 16-byte
 GCM tag appended.
 
 Both directions stream: a file is read once, in pieces of at most
-min(CHUNK_BYTES, DEFLATE_BLOCK_BYTES), and every digest and codec is fed
-from that one read, so memory stays flat whatever the file size. Inflate
-output comes in pieces of the same bound. An encrypted payload is read as
-its three parts in turn: the nonce, the ciphertext, then the tag.
+CHUNK_BYTES, and every digest and codec is fed from that one read, so
+memory stays flat whatever the file size. Inflate output comes in pieces
+of the same bound. An encrypted payload is read as its three parts in
+turn: the nonce, the ciphertext, then the tag.
 
-Deflate runs in blocks of DEFLATE_BLOCK_BYTES, in the manner of pigz: each
-block is primed with the 32 KiB of input before it and ends with a sync
-flush, the last with the stream's end. The blocks join into one ordinary
-raw deflate stream, so a v1 reader inflates it as it always has, while the
+Deflate runs in blocks of CHUNK_BYTES, in the manner of pigz: each block
+is primed with the 32 KiB of input before it and ends with a sync flush,
+the last with the stream's end. The blocks join into one ordinary raw
+deflate stream, so a v1 reader inflates it as it always has, while the
 blocks of one file can be deflated on several threads at once. A file of
 at most one block is deflated exactly as one zlib stream of the whole file.
 
@@ -52,12 +52,11 @@ NONCE_BYTES = 12
 TAG_BYTES = 16
 DEFLATE_LEVEL = 6
 
-# A file of this size and up gets threads: a pooled entry, decode stages. It also caps the piece.
-CHUNK_BYTES = 1 << 20
-
-# Deflate's unit of parallel work. Each block in flight holds its input and
-# its output, so this size, not CHUNK_BYTES, sets pack's memory per thread.
-DEFLATE_BLOCK_BYTES = 256 << 10
+# The codec's one size. It caps every read, deflate block, inflate output
+# and stage hand-off, and a file of this size and up gets threads: a pooled
+# entry and, under deflate, decode stages. Each deflate block in flight
+# holds its input and its output, so it also sets pack's memory per thread.
+CHUNK_BYTES = 256 << 10
 _DEFLATE_WINDOW = 32 << 10
 
 # GCM encrypts at most 2^39 - 256 bits under one nonce (NIST SP 800-38D).
@@ -121,15 +120,14 @@ class _Sink:
 
 
 def _read_chunks(fd: int, size: int, sink: _Sink) -> Iterator[bytes]:
-    """Yield the next `size` bytes of fd in reads of at most one piece, each fed to sink first.
+    """Yield the next `size` bytes of fd in reads of at most CHUNK_BYTES, each fed to sink first.
 
-    The piece, min(CHUNK_BYTES, DEFLATE_BLOCK_BYTES), is looked up on each
-    call. Stops early if the file ends first; the caller's digests then show it.
+    A read may come back short; the next one asks for the rest. Stops early
+    if the file ends first; the caller's digests then show it.
     """
-    most = min(CHUNK_BYTES, DEFLATE_BLOCK_BYTES)
     left = size
     while left > 0:
-        chunk = os.read(fd, min(most, left))
+        chunk = os.read(fd, min(CHUNK_BYTES, left))
         if not chunk:
             return
         left -= len(chunk)
@@ -160,16 +158,18 @@ def _deflate_block(block: bytes, primer: bytes, final: bool) -> bytes:
 
 
 def _blocks(fd: int, size: int, plain: _Sink) -> Iterator[tuple[bytes, bytes, bool]]:
-    """Yield (block, primer, final) over the next `size` bytes of fd, in DEFLATE_BLOCK_BYTES blocks.
+    """Yield (block, primer, final) over the next `size` bytes of fd, in CHUNK_BYTES blocks.
 
-    The primer is the last 32 KiB of the block before, empty for the first.
-    A block that comes up short ends the file and is final, as is the last
-    one `size` promised; there is always at least one.
+    Short reads are joined until a block is whole, so the blocks, and the
+    deflate bytes, never depend on how the reads come back. The primer is
+    the last 32 KiB of the block before, empty for the first. A block that
+    comes up short ends the file and is final, as is the last one `size`
+    promised; there is always at least one.
     """
     left = size
     primer = b""
     while True:
-        want = min(DEFLATE_BLOCK_BYTES, left)
+        want = min(CHUNK_BYTES, left)
         block = b"".join(_read_chunks(fd, want, plain))
         left -= len(block)
         final = left == 0 or len(block) < want
@@ -271,9 +271,8 @@ class Decoded(NamedTuple):
 class _Inflate:
     """Deflate decoding stage.
 
-    Each output is bounded by one piece, min(CHUNK_BYTES, DEFLATE_BLOCK_BYTES),
-    and by one byte past the expected size, so a forged stream cannot make it
-    allocate or work without limit.
+    Each output is bounded by CHUNK_BYTES and by one byte past the expected
+    size, so a forged stream cannot make it allocate or work without limit.
     """
 
     def __init__(self, plain: _Sink) -> None:
@@ -286,7 +285,7 @@ class _Inflate:
         plain = self._plain
         try:
             while self.error is None and not plain.overflow:
-                room = min(CHUNK_BYTES, DEFLATE_BLOCK_BYTES, plain.limit + 1 - plain.size)
+                room = min(CHUNK_BYTES, plain.limit + 1 - plain.size)
                 out = z.decompress(data, room)
                 if z.unused_data:
                     self.error = "data after the end of the deflate stream"
@@ -382,10 +381,10 @@ def decode_file(
     the result. A GCM error is reported ahead of a deflate error, because
     deflate saw unauthenticated bytes.
 
-    With threads > 1, a deflate payload of at least CHUNK_BYTES is decoded
-    in three stages: this thread reads, hashes and decrypts it (AES-GCM
-    holds the GIL, so a thread of its own would not help), one thread
-    inflates it, and another hashes and writes the plain bytes. Each stage's
+    With threads > 1, a deflate payload of at least CHUNK_BYTES, one piece,
+    is decoded in three stages: this thread reads, hashes and decrypts it
+    (AES-GCM holds the GIL, so a thread of its own would not help), one
+    thread inflates it, and another hashes and writes the plain bytes. Each stage's
     thread starts as the stage is built, and every stage built has ended
     before this returns or raises, even if the other failed to build. An
     exception in a later stage is raised ahead of one in an earlier stage,

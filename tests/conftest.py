@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import random
 from pathlib import Path
 
@@ -40,6 +41,12 @@ def write_random_tree(
         target.write_bytes(body)
         contents[relative] = body
     return contents
+
+
+def cap_reads(monkeypatch, most: int) -> None:
+    """Make every os.read return at most `most` bytes, as a pipe or a network filesystem may."""
+    real_read = os.read
+    monkeypatch.setattr(os, "read", lambda fd, count: real_read(fd, min(count, most)))
 
 
 def read_tree(root: Path) -> dict[str, bytes]:

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brickkit import brick as brick_mod
-from brickkit import payload
 from brickkit.brick import (
     KIND_DECODE,
     KIND_EXTRA,
@@ -29,7 +28,7 @@ from brickkit.brick import (
 )
 from brickkit.errors import ConfigError, IntegrityError
 from brickkit.manifest import MANIFEST_FILENAME, MAX_KDF_ITERATIONS, serialize_manifest
-from conftest import FAST_KDF_ITERATIONS, read_tree, write_random_tree
+from conftest import FAST_KDF_ITERATIONS, cap_reads, read_tree, write_random_tree
 
 CHAINS = [
     ("none",),
@@ -397,13 +396,14 @@ class FrozenClock(datetime):
         return datetime(2026, 1, 2, 3, 4, 5, tzinfo=tz)
 
 
-@pytest.mark.parametrize("chunk_bytes", [None, 7], ids=["chunk1M", "chunk7"])
+# chunk1M: whole reads of CHUNK_BYTES (256 KiB); chunk7: every read comes back short, at 7 bytes.
+@pytest.mark.parametrize("read_cap", [None, 7], ids=["chunk1M", "chunk7"])
 @pytest.mark.parametrize("chain", CHAINS, ids=[",".join(c) for c in CHAINS])
-def test_v1_bytes_are_pinned(tmp_path, monkeypatch, chain, chunk_bytes):
+def test_v1_bytes_are_pinned(tmp_path, monkeypatch, chain, read_cap):
     monkeypatch.setattr(brick_mod, "datetime", FrozenClock)
     monkeypatch.setattr(os, "urandom", lambda n: bytes(range(n)))
-    if chunk_bytes is not None:
-        monkeypatch.setattr(payload, "CHUNK_BYTES", chunk_bytes)
+    if read_cap is not None:
+        cap_reads(monkeypatch, read_cap)
     brick_dir = tmp_path / "brick"
     result = do_pack(make_source(tmp_path), brick_dir, chain, workers=1)
     data = (brick_dir / MANIFEST_FILENAME).read_bytes()

@@ -481,7 +481,7 @@ def test_bench_io_refuses_a_file_named_twice(tmp_path, capsys, alias, layout):
     assert main([*base, "--op", "write", *twice]) == 2
     err = capsys.readouterr().err
     assert one_line_error(err) and f"targets {first} and {second} are the same file" in err
-    assert first.stat().st_size == 0  # no block written
+    assert not first.exists()  # the run created it, so the refusal removed it
     assert main([*base, "--op", "write", "--target", str(first)]) == 0
     healthy = first.read_bytes()
     capsys.readouterr()

@@ -336,7 +336,7 @@ def test_a_file_named_twice_among_targets_is_refused(tmp_path, alias, striped):
     refusal = re.escape(f"targets {first} and {second} are the same file")
     with pytest.raises(ConfigError, match=refusal):
         run((first, second))
-    assert first.stat().st_size == 0  # the open created it; nothing sized or written
+    assert not first.exists()  # the run created it, so the refusal removed it
     run((first,))
     healthy = first.read_bytes()
     for fields in ({}, {"op": "read", "verify_pattern": True}):
@@ -531,6 +531,34 @@ def test_a_target_that_refuses_the_bypass_runs_buffered(tmp_path, monkeypatch):
     assert (write.io_count, read.io_count) == (64, 64)
     with pytest.raises(OSError):
         run_io_bench(spec_for(tmp_path, op="read", cache_bypass=True, name="ghost.bin"))
+
+
+@pytest.mark.parametrize("bypass", [False, True], ids=["buffered", "bypass-refused-after-create"])
+@pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
+def test_a_write_that_fails_at_its_second_target_removes_only_what_it_created(
+    tmp_path, monkeypatch, existed, bypass
+):
+    first = tmp_path / "a.bin"
+    if existed:
+        first.write_bytes(b"before the run")
+    if bypass:  # as some filesystems do: the file is made, then the open refuses O_DIRECT
+        real_open = os.open
+
+        def create_then_refuse(path, flags, *args):
+            fd = real_open(path, flags & ~os.O_DIRECT, *args)
+            if flags & os.O_DIRECT:
+                os.close(fd)
+                raise OSError(errno.EINVAL, os.strerror(errno.EINVAL), str(path))
+            return fd
+
+        monkeypatch.setattr(os, "open", create_then_refuse)
+    targets = (first, tmp_path / "missing" / "b.bin")
+    with pytest.raises(FileNotFoundError):
+        run_io_bench(spec_for(tmp_path, targets=targets, target_bytes=MB, cache_bypass=bypass))
+    if existed:
+        assert first.read_bytes() == b"before the run"
+    else:
+        assert not first.exists()
 
 
 def test_a_plain_run_opens_each_target_once_and_stats_none(tmp_path, monkeypatch):

@@ -1,6 +1,6 @@
 """The single-pass entry pipeline: chunk boundaries, tamper findings, scratch files.
 
-The chunk size, and for deflate the block size, is patched down so that
+The chunk size, which is also deflate's block size, is patched down so that
 every boundary case (a read ending inside the nonce, the tag or the deflate
 stream, a flip in the marker between two deflate blocks) occurs with small
 files. Findings are compared with a whole-buffer reference decoder kept here.
@@ -15,6 +15,7 @@ import re
 import resource
 import sys
 import threading
+import time
 import tracemalloc
 import zlib
 from dataclasses import replace
@@ -43,7 +44,7 @@ from brickkit.brick import (
 from brickkit.cli import main
 from brickkit.errors import EXIT_IO, ConfigError, IntegrityError
 from brickkit.manifest import MANIFEST_FILENAME, ChunkEntry, parse_manifest, serialize_manifest
-from conftest import FAST_KDF_ITERATIONS, read_tree
+from conftest import FAST_KDF_ITERATIONS, cap_reads, read_tree
 
 CHAINS = [
     ("none",),
@@ -147,10 +148,10 @@ BLOCK_CASE_IDS = CHAIN_IDS + [f"{','.join(c)}-block{TINY_BLOCK}" for c in DEFLAT
 
 @pytest.fixture
 def deflate_block(request, monkeypatch):
-    """DEFLATE_BLOCK_BYTES for the test: the param, or the real size if it is None."""
+    """CHUNK_BYTES, the deflate block, for the test: the param, or as it was if it is None."""
     if request.param is not None:
-        monkeypatch.setattr(payload, "DEFLATE_BLOCK_BYTES", request.param)
-    return payload.DEFLATE_BLOCK_BYTES
+        monkeypatch.setattr(payload, "CHUNK_BYTES", request.param)
+    return payload.CHUNK_BYTES
 
 
 DECODE_STAGES = ("brick-write", "brick-inflate")  # in the order they start
@@ -218,9 +219,10 @@ def test_deflate_payload_does_not_depend_on_read_size(tmp_path, monkeypatch):
     compressor = zlib.compressobj(payload.DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
     one_shot = compressor.compress(plain) + compressor.flush()
     for size in (7, 4096, 12_345, 1 << 20):
-        monkeypatch.setattr(payload, "CHUNK_BYTES", size)
+        cap_reads(monkeypatch, size)
         brick_dir = tmp_path / f"brick{size}"
         do_pack(source, brick_dir, ("deflate",))
+        monkeypatch.undo()
         assert (brick_dir / "f").read_bytes() == one_shot
 
 
@@ -244,7 +246,7 @@ def block_reference(plain: bytes, block_bytes: int) -> bytes:
 
 @pytest.mark.parametrize("chain", DEFLATE_CHAINS, ids=str)
 def test_a_file_of_many_blocks_is_one_v1_deflate_stream(tmp_path, monkeypatch, chain):
-    block = payload.DEFLATE_BLOCK_BYTES
+    block = payload.CHUNK_BYTES
     source = tmp_path / "src"
     source.mkdir()
     plain = body(3 * block + 12_345, 11)
@@ -252,10 +254,10 @@ def test_a_file_of_many_blocks_is_one_v1_deflate_stream(tmp_path, monkeypatch, c
     (source / "one-block").write_bytes(plain[:block])
     passphrase = passphrase_for(chain)
     payloads = set()
-    for chunk_bytes in (7, 4096, 1 << 20):
+    for read_cap in (7, 4096, 1 << 20):
         for workers in (1, 2, None):
-            monkeypatch.setattr(payload, "CHUNK_BYTES", chunk_bytes)
-            brick_dir = tmp_path / f"brick-{chunk_bytes}-{workers}"
+            cap_reads(monkeypatch, read_cap)
+            brick_dir = tmp_path / f"brick-{read_cap}-{workers}"
             result = pack(
                 source, brick_dir, codec_chain=chain, passphrase=passphrase,
                 kdf_iterations=FAST_KDF_ITERATIONS, workers=workers,
@@ -285,9 +287,9 @@ def test_a_file_of_many_blocks_is_one_v1_deflate_stream(tmp_path, monkeypatch, c
 def test_small_deflate_files_and_other_codecs_start_no_block_thread(tmp_path, monkeypatch):
     source = tmp_path / "src"
     source.mkdir()
-    for seed, size in enumerate((0, 1, 5000, payload.DEFLATE_BLOCK_BYTES)):
+    for seed, size in enumerate((0, 1, 5000, payload.CHUNK_BYTES)):
         (source / f"f{size}").write_bytes(body(size, seed))
-    (source / "large").write_bytes(body(3 * payload.DEFLATE_BLOCK_BYTES, 9))
+    (source / "large").write_bytes(body(3 * payload.CHUNK_BYTES, 9))
     deflated_on = []
     real_deflate = payload._deflate_block
 
@@ -313,13 +315,13 @@ def test_small_deflate_files_and_other_codecs_start_no_block_thread(tmp_path, mo
     assert pools.count("brick-deflate") == 1
     # Only the first blocks of the large file leave the entry's thread.
     pooled = sorted(size for size, on_pool in deflated_on if on_pool)
-    assert pooled == [payload.DEFLATE_BLOCK_BYTES] * 2
+    assert pooled == [payload.CHUNK_BYTES] * 2
     assert len(deflated_on) == 4 + 3
 
 
 @pytest.mark.parametrize("failure", ["read", "gcm-ceiling"])
 def test_a_failure_mid_file_stops_the_block_pool(tmp_path, monkeypatch, failure):
-    block = payload.DEFLATE_BLOCK_BYTES
+    block = payload.CHUNK_BYTES
     source = tmp_path / "src"
     source.mkdir()
     noise = hashlib.shake_256(b"incompressible").digest(6 * block + 5)
@@ -415,8 +417,8 @@ def test_every_byte_flip_gives_the_reference_finding(
                 for n in (1, threads)
             ]
             assert decoded[1] == decoded[0], f"flip at {position}"
-    # Only a payload of at least one read is worth the stage threads.
-    pipelined = threads > 1 and len(pristine) >= chunk
+    # Only a payload of at least one chunk, the block size in force, is worth the stage threads.
+    pipelined = threads > 1 and len(pristine) >= payload.CHUNK_BYTES
     assert bool(stage_starts) == pipelined
     # Deflate can shrug off a flip in the padding after its last block.
     if "aes-256-gcm" in chain:
@@ -559,6 +561,53 @@ def test_a_fifo_in_place_of_a_payload_is_missing_not_a_hang(tmp_path):
         unpack(brick_dir, tmp_path / "out")
 
 
+def test_a_symlink_in_place_of_a_payload_is_missing_not_followed(tmp_path, capsys):
+    source = tmp_path / "src"
+    (source / "sub").mkdir(parents=True)
+    (source / "sub" / "a.txt").write_bytes(b"first file")
+    (source / "b.txt").write_bytes(b"second file")
+    brick_dir = tmp_path / "brick"
+    do_pack(source, brick_dir, ("none",))
+    # An identical copy outside the brick: the shipped brick would not hold its bytes.
+    outside = tmp_path / "outside.txt"
+    outside.write_bytes(b"first file")
+    (brick_dir / "sub" / "a.txt").unlink()
+    (brick_dir / "sub" / "a.txt").symlink_to(outside)
+    finding = f"{KIND_MISSING}: sub/a.txt: payload file not found"
+    for deep in (False, True):
+        assert [str(f) for f in verify(brick_dir, deep=deep).findings] == [finding]
+    with pytest.raises(IntegrityError, match=f"^{re.escape(finding)}$"):
+        unpack(brick_dir, tmp_path / "out")
+    assert not (tmp_path / "out" / "sub" / "a.txt").exists()
+    for argv in (
+        ["verify", str(brick_dir)],
+        ["verify", str(brick_dir), "--deep"],
+        ["unpack", str(brick_dir), str(tmp_path / "cli-out")],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert finding in captured.out + captured.err, argv
+    assert outside.read_bytes() == b"first file"
+
+
+def test_a_symlink_in_place_of_the_manifest_is_not_a_brick(tmp_path, capsys):
+    source = tmp_path / "src"
+    source.mkdir()
+    (source / "f").write_bytes(b"data")
+    brick_dir = tmp_path / "brick"
+    do_pack(source, brick_dir, ("none",))
+    outside = tmp_path / "outside-manifest"
+    (brick_dir / MANIFEST_FILENAME).rename(outside)
+    (brick_dir / MANIFEST_FILENAME).symlink_to(outside)
+    with pytest.raises(IntegrityError, match="not a brick"):
+        verify(brick_dir)
+    with pytest.raises(IntegrityError, match="not a brick"):
+        unpack(brick_dir, tmp_path / "out")
+    assert main(["verify", str(brick_dir)]) == 1
+    assert "not a brick" in capsys.readouterr().err
+
+
 # ---------- one scheduling rule: small entries inline, large ones pooled ----------
 
 SPLIT = 64  # CHUNK_BYTES in these tests, so that entries fall on both sides of the rule
@@ -646,6 +695,100 @@ def test_unpack_starts_nothing_after_the_first_bad_entry(tmp_path, monkeypatch, 
     assert not [path for path in leftovers(dest) if path.endswith(".part")]
     for path, data in read_tree(dest).items():
         assert data == (source / path).read_bytes()
+
+
+def test_run_entries_keeps_at_most_two_pooled_jobs_per_worker_unfinished(monkeypatch):
+    workers, submitted = 2, []
+    real_pool = brick_mod.ThreadPoolExecutor
+
+    class CountingPool(real_pool):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(brick_mod, "ThreadPoolExecutor", CountingPool)
+    release, running = threading.Event(), threading.Semaphore(0)
+
+    def work(job):
+        running.release()
+        assert release.wait(60)
+        return job * 10
+
+    jobs = list(range(100))
+    outcome = {}
+    runner = threading.Thread(target=lambda: outcome.update(
+        results=brick_mod._run_entries(jobs, lambda job: payload.CHUNK_BYTES, work, workers)
+    ))
+    runner.start()
+    try:
+        for _ in range(workers):
+            assert running.acquire(timeout=10)
+        time.sleep(0.2)  # ample time to submit every job, were there no window
+        held = len(submitted)
+    finally:
+        release.set()
+        runner.join(60)
+    assert held <= 2 * workers
+    assert outcome["results"] == [job * 10 for job in jobs]
+
+
+def test_run_entries_raises_the_first_pooled_failure_in_job_order():
+    def work(job):
+        if job == 0:
+            time.sleep(0.2)  # fails after job 1 has failed and left the window
+        if job < 2:
+            raise ValueError(f"job {job}")
+        return job
+
+    jobs = list(range(10))
+    with pytest.raises(ValueError, match="^job 0$"):
+        brick_mod._run_entries(jobs, lambda job: payload.CHUNK_BYTES, work, 2)
+
+
+@pytest.mark.parametrize("chain", [("none",), ("deflate", "aes-256-gcm")], ids=str)
+def test_a_file_of_one_chunk_gets_threads_at_the_real_size(
+    tmp_path, monkeypatch, stage_starts, chain
+):
+    chunk = 256 << 10  # payload.CHUNK_BYTES, as the README and the --workers help give it
+    source = tmp_path / "src"
+    source.mkdir()
+    # Half repetitive, so its deflate payload stays under one chunk; the
+    # other is noise, so its payload is at least one chunk under every chain.
+    (source / "below").write_bytes(body(chunk - 1, 1))
+    (source / "one-chunk").write_bytes(hashlib.shake_256(b"noise").digest(chunk))
+    ran_on = []
+    real_encode, real_decode = payload.encode_file, payload.decode_file
+
+    def encode(fd, size, *args):
+        ran_on.append(("encode", size, threading.current_thread().name))
+        return real_encode(fd, size, *args)
+
+    def decode(fd, size, *args):
+        ran_on.append(("decode", size, threading.current_thread().name))
+        return real_decode(fd, size, *args)
+
+    monkeypatch.setattr(payload, "encode_file", encode)
+    monkeypatch.setattr(payload, "decode_file", decode)
+    passphrase = passphrase_for(chain)
+    brick_dir = tmp_path / "brick"
+    entries = pack(
+        source, brick_dir, codec_chain=chain, passphrase=passphrase,
+        kdf_iterations=FAST_KDF_ITERATIONS, workers=2,
+    ).manifest.entries
+    assert verify(brick_dir, deep=True, passphrase=passphrase, workers=2).ok
+    unpack(brick_dir, tmp_path / "out", passphrase=passphrase, workers=2)
+    assert read_tree(tmp_path / "out") == read_tree(source)
+    size = {entry.path: entry.payload_size for entry in entries}
+    assert size["below"] < chunk <= size["one-chunk"]
+    on_pool = sorted(
+        (step, size, name.startswith("ThreadPoolExecutor")) for step, size, name in ran_on
+    )
+    assert on_pool == sorted([
+        ("encode", chunk - 1, False), ("encode", chunk, True),
+        *[("decode", size["below"], False), ("decode", size["one-chunk"], True)] * 2,
+    ])
+    # Only the deflate payload of one chunk starts the stages: in verify --deep and in unpack.
+    assert stage_starts == [*DECODE_STAGES] * 2 * ("deflate" in chain)
 
 
 # ---------- the GCM size ceiling ----------
@@ -1098,12 +1241,12 @@ def test_a_failing_stage_gives_what_one_thread_gives(
     """A failure in each stage: the writer, the inflater, and the reader (twice)."""
     source = tmp_path / "src"
     source.mkdir()
-    (source / "f").write_bytes(nibbles(4 * payload.CHUNK_BYTES, 12))
+    (source / "f").write_bytes(nibbles(16 * payload.CHUNK_BYTES, 12))
     chain = ("deflate",) if failure in ("write", "inflate") else ("deflate", "aes-256-gcm")
     brick_dir = tmp_path / "brick"
     do_pack(source, brick_dir, chain)
     stored = (brick_dir / "f").read_bytes()
-    assert len(stored) > 4 * min(payload.CHUNK_BYTES, payload.DEFLATE_BLOCK_BYTES)
+    assert len(stored) > 4 * payload.CHUNK_BYTES
     passphrase = passphrase_for(chain)
     if failure == "inflate":  # a flip past the middle, vouched for by the manifest
         stored = corrupting_flip(stored, len(stored) // 2)
@@ -1174,8 +1317,7 @@ def test_a_failing_stage_gives_what_one_thread_gives(
 
 
 def test_only_large_deflate_payloads_start_decode_threads(tmp_path, monkeypatch, stage_starts):
-    big = payload.CHUNK_BYTES
-    piece = min(payload.CHUNK_BYTES, payload.DEFLATE_BLOCK_BYTES)
+    chunk = payload.CHUNK_BYTES
     real_read, real_write, sizes = os.read, os.write, []
 
     def read(fd, count):
@@ -1191,12 +1333,12 @@ def test_only_large_deflate_payloads_start_decode_threads(tmp_path, monkeypatch,
     monkeypatch.setattr(os, "write", write)
     source = tmp_path / "src"
     source.mkdir()
-    (source / "big").write_bytes(nibbles(2 * big, 13))
-    (source / "small").write_bytes(nibbles(piece // 2, 14))
+    (source / "big").write_bytes(nibbles(2 * chunk, 13))
+    (source / "small").write_bytes(nibbles(chunk // 2, 14))
     for chain in CHAINS:
         brick_dir = tmp_path / ",".join(chain)
         entries = do_pack(source, brick_dir, chain).manifest.entries
-        large = [entry.path for entry in entries if entry.payload_size >= big]
+        large = [entry.path for entry in entries if entry.payload_size >= chunk]
         assert large == ["big"]
         passphrase = passphrase_for(chain)
         for workers in (1, 2):
@@ -1209,7 +1351,7 @@ def test_only_large_deflate_payloads_start_decode_threads(tmp_path, monkeypatch,
             # Once for verify --deep and once for unpack, and only for the large payload.
             assert stage_starts == [*DECODE_STAGES] * 2 * pipelined, (chain, workers)
             # One thread and the stages alike read and write in pieces.
-            assert max(sizes) == piece, (chain, workers)
+            assert max(sizes) == chunk, (chain, workers)
             assert read_tree(tmp_path / f"out-{brick_dir.name}-{workers}") == read_tree(source)
     # A shallow verify decodes nothing.
     stage_starts.clear()
@@ -1222,7 +1364,7 @@ def test_only_large_deflate_payloads_start_decode_threads(tmp_path, monkeypatch,
 def test_no_read_or_write_exceeds_one_piece(tmp_path, monkeypatch, chain, chunk_bytes):
     if chunk_bytes is not None:
         monkeypatch.setattr(payload, "CHUNK_BYTES", chunk_bytes)
-    piece = min(payload.CHUNK_BYTES, payload.DEFLATE_BLOCK_BYTES)
+    piece = payload.CHUNK_BYTES
     real_read, real_write, reads, writes = os.read, os.write, [], []
 
     def read(fd, count):
@@ -1351,7 +1493,7 @@ def test_many_pipelines_at_once_on_a_busy_interpreter(tmp_path, monkeypatch, sta
 def test_an_inflated_payload_never_piles_up_in_memory(tmp_path, monkeypatch, stage_starts):
     # A read of 64 KiB lets the 70 KB deflate payload of 64 MiB of zeros take the stages.
     monkeypatch.setattr(payload, "CHUNK_BYTES", 64 << 10)
-    piece = min(payload.CHUNK_BYTES, payload.DEFLATE_BLOCK_BYTES)
+    piece = payload.CHUNK_BYTES
     source = tmp_path / "src"
     source.mkdir()
     with open(source / "f", "wb") as handle:
