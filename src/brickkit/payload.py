@@ -12,11 +12,15 @@ of the same bound. An encrypted payload is read as its three parts in
 turn: the nonce, the ciphertext, then the tag.
 
 Deflate runs in blocks of CHUNK_BYTES, in the manner of pigz: each block
-is primed with the 32 KiB of input before it and ends with a sync flush,
+is primed with the 32 KiB of input before it and ends on a byte boundary,
 the last with the stream's end. The blocks join into one ordinary raw
 deflate stream, so a v1 reader inflates it as it always has, while the
-blocks of one file can be deflated on several threads at once. A file of
-at most one block is deflated exactly as one zlib stream of the whole file.
+blocks of one file can be deflated on several threads at once. Within a
+block, each 32 KiB piece is probed first: deflate tries its first 4 KiB,
+and a piece whose probe does not shrink is stored, not deflated, so data
+that is compressed already costs a probe per piece. A file of at most one
+block whose start compresses is deflated exactly as one zlib stream of the
+whole file.
 
 A v1 stream cannot itself be inflated in parallel, so decode overlaps its
 stages instead, as pigz does when it decompresses. Given more than one
@@ -34,6 +38,7 @@ import collections
 import hashlib
 import os
 import queue
+import struct
 import threading
 import zlib
 from concurrent.futures import Executor, Future
@@ -57,7 +62,10 @@ DEFLATE_LEVEL = 6
 # entry and, under deflate, decode stages. Each deflate block in flight
 # holds its input and its output, so it also sets pack's memory per thread.
 CHUNK_BYTES = 256 << 10
+# Deflate's window: the primer of each block, and the pieces it is probed in.
 _DEFLATE_WINDOW = 32 << 10
+# The bytes at the start of each piece that decide whether it is deflated or stored.
+_DEFLATE_PROBE = 4 << 10
 
 # GCM encrypts at most 2^39 - 256 bits under one nonce (NIST SP 800-38D).
 GCM_MAX_BYTES = 2**36 - 32
@@ -149,12 +157,41 @@ class Encoded(NamedTuple):
 def _deflate_block(block: bytes, primer: bytes, final: bool) -> bytes:
     """Raw deflate of one block, primed with the input just before it.
 
-    A block that is not final ends with a sync flush, on a byte boundary,
-    so the next block's output can follow it directly.
+    The block is walked in pieces of _DEFLATE_WINDOW. The first
+    _DEFLATE_PROBE bytes of a piece are deflated as a probe, by the primed
+    compressor for the first piece and by a fresh one after that. If a sync
+    flush of a copy shows the probe shrank, or the probe reaches the end of
+    the block, that compressor deflates the rest of the block; so a block
+    whose start compresses is deflated exactly as if it were fed whole.
+    Otherwise the probe is sync-flushed, the rest of the piece follows as
+    one stored block (RFC 1951, 3.2.4), and the next piece is probed. Data
+    that does not shrink thus costs a probe per piece, not a deflate of
+    every byte, and about 15 bytes of framing per piece.
+
+    A block that is not final ends on a byte boundary, so the next block's
+    output can follow it directly.
     """
-    compressor = zlib.compressobj(DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS, zdict=primer)
     end = zlib.Z_FINISH if final else zlib.Z_SYNC_FLUSH
-    return compressor.compress(block) + compressor.flush(end)
+    view = memoryview(block)
+    out = []
+    compressor = zlib.compressobj(DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS, zdict=primer)
+    start = 0
+    while True:
+        probe = view[start : start + _DEFLATE_PROBE]
+        probed = compressor.compress(probe)
+        rest = view[start + len(probe) :]
+        if not rest or len(probed) + len(compressor.copy().flush(zlib.Z_SYNC_FLUSH)) < len(probe):
+            out += (probed, compressor.compress(rest), compressor.flush(end))
+            return b"".join(out)
+        stored = rest[: _DEFLATE_WINDOW - len(probe)]
+        start += _DEFLATE_WINDOW
+        last = start >= len(block)
+        # A stored block's header: BFINAL with BTYPE 00, then LEN and NLEN.
+        header = struct.pack("<BHH", final and last, len(stored), len(stored) ^ 0xFFFF)
+        out += (probed, compressor.flush(zlib.Z_SYNC_FLUSH), header, stored)
+        if last:
+            return b"".join(out)
+        compressor = zlib.compressobj(DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
 
 
 def _blocks(fd: int, size: int, plain: _Sink) -> Iterator[tuple[bytes, bytes, bool]]:

@@ -4,6 +4,8 @@ The chunk size, which is also deflate's block size, is patched down so that
 every boundary case (a read ending inside the nonce, the tag or the deflate
 stream, a flip in the marker between two deflate blocks) occurs with small
 files. Findings are compared with a whole-buffer reference decoder kept here.
+Deflate's 4 KiB probes and 32 KiB pieces are tested at the real chunk size,
+against a whole-buffer reference encoder, `block_reference`, kept here too.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import hashlib
 import os
 import re
 import resource
+import shutil
 import sys
 import threading
 import time
@@ -25,6 +28,8 @@ import pytest
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from brickkit import brick as brick_mod
 from brickkit import payload
@@ -216,31 +221,72 @@ def test_deflate_payload_does_not_depend_on_read_size(tmp_path, monkeypatch):
     source.mkdir()
     plain = body(50_000, 1)
     (source / "f").write_bytes(plain)
-    compressor = zlib.compressobj(payload.DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
-    one_shot = compressor.compress(plain) + compressor.flush()
     for size in (7, 4096, 12_345, 1 << 20):
         cap_reads(monkeypatch, size)
         brick_dir = tmp_path / f"brick{size}"
         do_pack(source, brick_dir, ("deflate",))
         monkeypatch.undo()
-        assert (brick_dir / "f").read_bytes() == one_shot
+        assert (brick_dir / "f").read_bytes() == block_reference(plain, payload.CHUNK_BYTES)
 
 
 # ---------- deflate in primed blocks ----------
 
-def block_reference(plain: bytes, block_bytes: int) -> bytes:
-    """pigz-style raw deflate, whole-buffer: each block primed with the 32 KiB before it."""
+PROBE = 4 << 10  # the bytes deflate tries at the start of each piece
+PIECE = 32 << 10  # the pieces a block is walked in, one deflate window each
+
+
+def zlib_stream(data: bytes, primer: bytes, end: int) -> bytes:
+    """One zlib raw deflate of data, primed, ended by `end`."""
+    compressor = zlib.compressobj(
+        payload.DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS, zdict=primer
+    )
+    return compressor.compress(data) + compressor.flush(end)
+
+
+def stored_block(data: bytes, final: bool) -> bytes:
+    """An RFC 1951 stored block, from a byte boundary: header, LEN, NLEN, data."""
+    size = len(data).to_bytes(2, "little")
+    return bytes([final]) + size + bytes(b ^ 0xFF for b in size) + data
+
+
+def probed_block(block: bytes, primer: bytes, end: int) -> bytes:
+    """The probe rule on one block, whole-buffer.
+
+    Each PIECE starts with a PROBE deflated alone (primed as the block is,
+    for the first piece) and sync-flushed. The first probe that shrinks, or
+    that reaches the end of the block, starts one zlib stream over the rest
+    of the block; until then, each piece is that probe followed by the rest
+    of the piece stored.
+    """
+    stream = b""
+    start = 0
+    while True:
+        head_primer = primer if start == 0 else b""
+        probe = block[start : start + PROBE]
+        flushed = zlib_stream(probe, head_primer, zlib.Z_SYNC_FLUSH)
+        if start + PROBE >= len(block) or len(flushed) < len(probe):
+            return stream + zlib_stream(block[start:], head_primer, end)
+        last = start + PIECE >= len(block)
+        stream += flushed + stored_block(
+            block[start + PROBE : start + PIECE], last and end == zlib.Z_FINISH
+        )
+        start += PIECE
+        if last:
+            return stream
+
+
+def block_reference(plain: bytes, block_bytes: int, deflate=probed_block) -> bytes:
+    """pigz-style raw deflate, whole-buffer: each block primed with the 32 KiB before it.
+
+    `deflate` makes each block's bytes: the probe rule, or zlib_stream for
+    the whole block deflated, as before there was a probe.
+    """
     blocks = [plain[i : i + block_bytes] for i in range(0, len(plain), block_bytes)] or [b""]
     stream = b""
     for index, block in enumerate(blocks):
         primer = blocks[index - 1][-32 * 1024 :] if index else b""
-        compressor = zlib.compressobj(
-            payload.DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS, zdict=primer
-        )
         last = index == len(blocks) - 1
-        stream += compressor.compress(block) + compressor.flush(
-            zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH
-        )
+        stream += deflate(block, primer, zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH)
     return stream
 
 
@@ -250,8 +296,10 @@ def test_a_file_of_many_blocks_is_one_v1_deflate_stream(tmp_path, monkeypatch, c
     source = tmp_path / "src"
     source.mkdir()
     plain = body(3 * block + 12_345, 11)
+    text = nibbles(block, 11)
     (source / "f").write_bytes(plain)
     (source / "one-block").write_bytes(plain[:block])
+    (source / "one-block-text").write_bytes(text)
     passphrase = passphrase_for(chain)
     payloads = set()
     for read_cap in (7, 4096, 1 << 20):
@@ -264,24 +312,153 @@ def test_a_file_of_many_blocks_is_one_v1_deflate_stream(tmp_path, monkeypatch, c
             )
             monkeypatch.undo()
             key = payload.derive_key(PASSPHRASE, result.manifest.kdf) if passphrase else None
-            stored = {name: (brick_dir / name).read_bytes() for name in ("f", "one-block")}
+            names = ("f", "one-block", "one-block-text")
+            stored = {name: (brick_dir / name).read_bytes() for name in names}
             # An unchanged v1 reader: whole-buffer GCM, then zlib.decompress(data, -15).
             assert one_shot_decode(stored["f"], chain, key) == plain
             assert one_shot_decode(stored["one-block"], chain, key) == plain[:block]
+            assert one_shot_decode(stored["one-block-text"], chain, key) == text
             deflated = {
                 name: one_shot_decode(data, ("aes-256-gcm",), key) if key else data
                 for name, data in stored.items()
             }
-            payloads.add((deflated["f"], deflated["one-block"]))
+            payloads.add((deflated["f"], deflated["one-block"], deflated["one-block-text"]))
             assert verify(brick_dir, deep=True, passphrase=passphrase).ok
-    assert payloads == {(block_reference(plain, block), block_reference(plain[:block], block))}
-    # A file of one block is deflated exactly as one zlib stream.
-    compressor = zlib.compressobj(payload.DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
-    one_shot = compressor.compress(plain[:block]) + compressor.flush()
-    assert block_reference(plain[:block], block) == one_shot
+    assert payloads == {(
+        block_reference(plain, block), block_reference(plain[:block], block),
+        block_reference(text, block),
+    )}
+    # A compressible file of one block is deflated exactly as one zlib stream.
+    assert block_reference(text, block) == zlib_stream(text, b"", zlib.Z_FINISH)
     restored = unpack(brick_dir, tmp_path / "out", passphrase=passphrase)
-    assert restored.bytes_written == len(plain) + block
+    assert restored.bytes_written == len(plain) + 2 * block
     assert read_tree(tmp_path / "out") == read_tree(source)
+
+
+def test_compressible_blocks_are_deflated_as_before_the_probe(tmp_path):
+    block = payload.CHUNK_BYTES
+    source = tmp_path / "src"
+    source.mkdir()
+    plain = nibbles(3 * block + 12_345, 14)
+    (source / "f").write_bytes(plain)
+    pack(source, tmp_path / "brick", codec_chain=("deflate",), workers=2)
+    assert (tmp_path / "brick" / "f").read_bytes() == block_reference(plain, block, zlib_stream)
+
+
+TILE = 4 << 10
+PROBE_BOUNDS = (
+    0, 1, PROBE - 1, PROBE, PROBE + 1, PIECE - 1, PIECE, PIECE + 1,
+    payload.CHUNK_BYTES - 1, payload.CHUNK_BYTES, payload.CHUNK_BYTES + 1,
+    3 * payload.CHUNK_BYTES + 12_345,
+)
+
+
+@st.composite
+def tiled_files(draw, size: int) -> bytes:
+    """`size` bytes cut from a row of 4 KiB tiles, each noise or compressible.
+
+    The cut starts `phase` bytes into the first tile, so tiles need not
+    line up with probes.
+    """
+    phase = draw(st.integers(0, TILE - 1))
+    count = -(-(phase + size) // TILE)
+    squeeze = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    noise = hashlib.shake_256(draw(st.binary(min_size=4, max_size=4))).digest(count * TILE)
+    text = noise.translate(bytes(0x40 | (i & 0x0F) for i in range(256)))  # as nibbles()
+    row = b"".join(
+        (text if squeezed else noise)[i * TILE : (i + 1) * TILE]
+        for i, squeezed in enumerate(squeeze)
+    )
+    return row[phase : phase + size]
+
+
+@pytest.mark.parametrize("size", PROBE_BOUNDS)
+# No shrink phase: shrinking a failure at these sizes takes minutes.
+@settings(max_examples=3, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(data=st.data())
+def test_probed_payload_matches_the_reference_at_the_real_size(tmp_path_factory, size, data):
+    plain = data.draw(tiled_files(size))
+    base = tmp_path_factory.mktemp("probe")
+    source = base / "src"
+    source.mkdir()
+    (source / "f").write_bytes(plain)
+    expected = block_reference(plain, payload.CHUNK_BYTES)
+    for chain in DEFLATE_CHAINS:
+        passphrase = passphrase_for(chain)
+        for read_cap in (7, 4096):
+            for workers in (1, 2, None):
+                brick_dir = base / f"brick-{'-'.join(chain)}-{read_cap}-{workers}"
+                with pytest.MonkeyPatch.context() as monkeypatch:
+                    cap_reads(monkeypatch, read_cap)
+                    result = pack(
+                        source, brick_dir, codec_chain=chain, passphrase=passphrase,
+                        kdf_iterations=FAST_KDF_ITERATIONS, workers=workers,
+                    )
+                stored = (brick_dir / "f").read_bytes()
+                if passphrase:
+                    key = payload.derive_key(PASSPHRASE, result.manifest.kdf)
+                    stored = one_shot_decode(stored, ("aes-256-gcm",), key)
+                assert stored == expected
+                assert zlib.decompress(stored, -zlib.MAX_WBITS) == plain
+                shutil.rmtree(brick_dir)
+
+
+def test_a_probe_is_deflated_only_if_it_shrinks(tmp_path):
+    # Each zero byte ahead of noise saves about a byte of deflate output,
+    # so some run of zeros makes a probe deflate to exactly its own size.
+    noise = hashlib.shake_256(b"edge").digest(2 * PIECE)
+    sizes = {
+        zeros: len(zlib_stream(bytes(zeros) + noise[zeros:PROBE], b"", zlib.Z_SYNC_FLUSH))
+        for zeros in range(200)
+    }
+    even = [zeros for zeros, size in sizes.items() if size == PROBE]
+    if not even:
+        pytest.skip("this zlib deflates none of these probes to exactly its own size")
+    plain = bytes(even[0]) + noise[even[0] :]
+    source = tmp_path / "src"
+    source.mkdir()
+    (source / "f").write_bytes(plain)
+    pack(source, tmp_path / "brick", codec_chain=("deflate",))
+    stored = (tmp_path / "brick" / "f").read_bytes()
+    assert stored == block_reference(plain, payload.CHUNK_BYTES)
+    assert len(stored) > len(plain)  # stored, zeros and all
+
+
+def test_noise_reaches_deflate_only_as_probes(tmp_path, monkeypatch):
+    block = payload.CHUNK_BYTES
+    source = tmp_path / "src"
+    source.mkdir()
+    noise = hashlib.shake_256(b"incompressible").digest(3 * block + 12_345)
+    (source / "f").write_bytes(noise)
+    deflated = []  # bytes fed to a compressor at DEFLATE_LEVEL, per call
+    real_compressobj = zlib.compressobj
+
+    class Spy:
+        def __init__(self, level, *args, **kwargs):
+            self._compressor = real_compressobj(level, *args, **kwargs)
+            self._counted = level == payload.DEFLATE_LEVEL
+
+        def compress(self, data):
+            if self._counted:
+                deflated.append(len(data))
+            return self._compressor.compress(data)
+
+        def flush(self, *args):
+            return self._compressor.flush(*args)
+
+        def copy(self):
+            return self._compressor.copy()
+
+    monkeypatch.setattr(zlib, "compressobj", Spy)
+    payload._deflate_block(noise[:block], b"", False)
+    assert 0 < sum(deflated) <= block // 8
+    deflated.clear()
+    pack(source, tmp_path / "brick", codec_chain=("deflate",), workers=1)
+    monkeypatch.undo()
+    assert 0 < sum(deflated) <= 4 * block // 8  # three blocks and a short one
+    stored = (tmp_path / "brick" / "f").read_bytes()
+    assert zlib.decompress(stored, -zlib.MAX_WBITS) == noise
+    assert len(stored) <= len(noise) * 1.001
 
 
 def test_small_deflate_files_and_other_codecs_start_no_block_thread(tmp_path, monkeypatch):
