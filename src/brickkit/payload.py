@@ -16,11 +16,14 @@ is primed with the 32 KiB of input before it and ends on a byte boundary,
 the last with the stream's end. The blocks join into one ordinary raw
 deflate stream, so a v1 reader inflates it as it always has, while the
 blocks of one file can be deflated on several threads at once. Within a
-block, each 32 KiB piece is probed first: deflate tries its first 4 KiB,
-and a piece whose probe does not shrink is stored, not deflated, so data
-that is compressed already costs a probe per piece. A file of at most one
-block whose start compresses is deflated exactly as one zlib stream of the
-whole file.
+block, each 32 KiB piece is probed first: deflate tries its first 4 KiB.
+A piece whose probe does not shrink is stored, so data that is compressed
+already costs a probe per piece. A piece whose probe Huffman coding alone
+(Z_HUFFMAN_ONLY) codes in no more bytes than LZ77 matching is coded
+Huffman-only, which is faster and smaller on high-entropy text over a small
+alphabet. Anything else starts an ordinary deflate of the rest of the
+block. A file of at most one block whose start favours matching is
+deflated exactly as one zlib stream of the whole file.
 
 A v1 stream cannot itself be inflated in parallel, so decode overlaps its
 stages instead, as pigz does when it decompresses. Given more than one
@@ -157,19 +160,30 @@ class Encoded(NamedTuple):
 def _deflate_block(block: bytes, primer: bytes, final: bool) -> bytes:
     """Raw deflate of one block, primed with the input just before it.
 
-    The block is walked in pieces of _DEFLATE_WINDOW. The first
-    _DEFLATE_PROBE bytes of a piece are deflated as a probe, by the primed
-    compressor for the first piece and by a fresh one after that. If a sync
-    flush of a copy shows the probe shrank, or the probe reaches the end of
-    the block, that compressor deflates the rest of the block; so a block
-    whose start compresses is deflated exactly as if it were fed whole.
-    Otherwise the probe is sync-flushed, the rest of the piece follows as
-    one stored block (RFC 1951, 3.2.4), and the next piece is probed. Data
-    that does not shrink thus costs a probe per piece, not a deflate of
-    every byte, and about 15 bytes of framing per piece.
+    The block is walked in pieces of _DEFLATE_WINDOW, and each piece gets
+    one of three codings, chosen from its first _DEFLATE_PROBE bytes. The
+    probe is deflated at DEFLATE_LEVEL, by the primed compressor for the
+    first piece and by a fresh one after that, and a sync flush of a copy
+    shows its size; the copy leaves the compressor untouched.
 
-    A block that is not final ends on a byte boundary, so the next block's
-    output can follow it directly.
+    - Stored, if the probe did not shrink: the probe is sync-flushed and
+      the rest of the piece follows as one stored block (RFC 1951, 3.2.4).
+      Data that does not shrink thus costs a probe per piece, and about 15
+      bytes of framing.
+    - Huffman-only, if the probe shrank but a fresh Z_HUFFMAN_ONLY
+      compressor codes it, sync-flushed, in no more bytes: that compressor
+      codes the whole piece. High-entropy text over a small alphabet (hex,
+      base64, DNA) lands here; LZ77's short matches cost it more bits than
+      the literals they replace, and the search costs most of the time.
+    - LZ77, otherwise, or if the probe reaches the end of the block without
+      shrinking: the compressor deflates the rest of the block, so a block
+      whose start favours matching is deflated exactly as if it were fed
+      whole.
+
+    After a stored or Huffman-only piece the next piece is probed afresh.
+    A piece ends with a sync flush, the last of a final block with the
+    stream's end, so a block that is not final ends on a byte boundary and
+    the next block's output can follow it directly.
     """
     end = zlib.Z_FINISH if final else zlib.Z_SYNC_FLUSH
     view = memoryview(block)
@@ -180,15 +194,27 @@ def _deflate_block(block: bytes, primer: bytes, final: bool) -> bytes:
         probe = view[start : start + _DEFLATE_PROBE]
         probed = compressor.compress(probe)
         rest = view[start + len(probe) :]
-        if not rest or len(probed) + len(compressor.copy().flush(zlib.Z_SYNC_FLUSH)) < len(probe):
-            out += (probed, compressor.compress(rest), compressor.flush(end))
-            return b"".join(out)
-        stored = rest[: _DEFLATE_WINDOW - len(probe)]
+        piece = rest[: _DEFLATE_WINDOW - len(probe)]
         start += _DEFLATE_WINDOW
         last = start >= len(block)
-        # A stored block's header: BFINAL with BTYPE 00, then LEN and NLEN.
-        header = struct.pack("<BHH", final and last, len(stored), len(stored) ^ 0xFFFF)
-        out += (probed, compressor.flush(zlib.Z_SYNC_FLUSH), header, stored)
+        matched = len(probed) + len(compressor.copy().flush(zlib.Z_SYNC_FLUSH))
+        if matched < len(probe):
+            huffman = zlib.compressobj(
+                DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS, 8, zlib.Z_HUFFMAN_ONLY
+            )
+            coded = huffman.compress(probe) + huffman.flush(zlib.Z_SYNC_FLUSH)
+            if len(coded) > matched:
+                out += (probed, compressor.compress(rest), compressor.flush(end))
+                return b"".join(out)
+            ending = end if last else zlib.Z_SYNC_FLUSH
+            out += (coded, huffman.compress(piece), huffman.flush(ending))
+        elif not rest:
+            out += (probed, compressor.flush(end))
+            return b"".join(out)
+        else:
+            # A stored block's header: BFINAL with BTYPE 00, then LEN and NLEN.
+            header = struct.pack("<BHH", final and last, len(piece), len(piece) ^ 0xFFFF)
+            out += (probed, compressor.flush(zlib.Z_SYNC_FLUSH), header, piece)
         if last:
             return b"".join(out)
         compressor = zlib.compressobj(DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)

@@ -4,12 +4,14 @@ The chunk size, which is also deflate's block size, is patched down so that
 every boundary case (a read ending inside the nonce, the tag or the deflate
 stream, a flip in the marker between two deflate blocks) occurs with small
 files. Findings are compared with a whole-buffer reference decoder kept here.
-Deflate's 4 KiB probes and 32 KiB pieces are tested at the real chunk size,
-against a whole-buffer reference encoder, `block_reference`, kept here too.
+Deflate's 4 KiB probes and 32 KiB pieces, each stored, Huffman-coded or
+deflated, are tested at the real chunk size, against a whole-buffer
+reference encoder, `block_reference`, kept here too.
 """
 
 from __future__ import annotations
 
+import collections
 import errno
 import hashlib
 import os
@@ -243,6 +245,13 @@ def zlib_stream(data: bytes, primer: bytes, end: int) -> bytes:
     return compressor.compress(data) + compressor.flush(end)
 
 
+def huffman_coder():
+    """A raw deflate compressor that codes literals only, never a match."""
+    return zlib.compressobj(
+        payload.DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS, 8, zlib.Z_HUFFMAN_ONLY
+    )
+
+
 def stored_block(data: bytes, final: bool) -> bytes:
     """An RFC 1951 stored block, from a byte boundary: header, LEN, NLEN, data."""
     size = len(data).to_bytes(2, "little")
@@ -253,23 +262,31 @@ def probed_block(block: bytes, primer: bytes, end: int) -> bytes:
     """The probe rule on one block, whole-buffer.
 
     Each PIECE starts with a PROBE deflated alone (primed as the block is,
-    for the first piece) and sync-flushed. The first probe that shrinks, or
+    for the first piece) and sync-flushed, and Huffman-coded alone and
+    sync-flushed. A probe that deflates smaller than itself, and that
+    Huffman coding codes in no more bytes, is followed by the rest of the
+    piece from the same Huffman coder. Any other probe that shrinks, or
     that reaches the end of the block, starts one zlib stream over the rest
-    of the block; until then, each piece is that probe followed by the rest
-    of the piece stored.
+    of the block. Otherwise the piece is the deflated probe followed by the
+    rest of the piece stored. Each piece but the last ends on a sync flush.
     """
     stream = b""
     start = 0
     while True:
         head_primer = primer if start == 0 else b""
         probe = block[start : start + PROBE]
-        flushed = zlib_stream(probe, head_primer, zlib.Z_SYNC_FLUSH)
-        if start + PROBE >= len(block) or len(flushed) < len(probe):
-            return stream + zlib_stream(block[start:], head_primer, end)
+        rest = block[start + PROBE : start + PIECE]
         last = start + PIECE >= len(block)
-        stream += flushed + stored_block(
-            block[start + PROBE : start + PIECE], last and end == zlib.Z_FINISH
-        )
+        flushed = zlib_stream(probe, head_primer, zlib.Z_SYNC_FLUSH)
+        huffman = huffman_coder()
+        coded = huffman.compress(probe) + huffman.flush(zlib.Z_SYNC_FLUSH)
+        if len(flushed) < len(probe) and len(coded) <= len(flushed):
+            stream += coded + huffman.compress(rest)
+            stream += huffman.flush(end if last else zlib.Z_SYNC_FLUSH)
+        elif len(flushed) < len(probe) or start + PROBE >= len(block):
+            return stream + zlib_stream(block[start:], head_primer, end)
+        else:
+            stream += flushed + stored_block(rest, last and end == zlib.Z_FINISH)
         start += PIECE
         if last:
             return stream
@@ -296,7 +313,7 @@ def test_a_file_of_many_blocks_is_one_v1_deflate_stream(tmp_path, monkeypatch, c
     source = tmp_path / "src"
     source.mkdir()
     plain = body(3 * block + 12_345, 11)
-    text = nibbles(block, 11)
+    text = words(block, 11)
     (source / "f").write_bytes(plain)
     (source / "one-block").write_bytes(plain[:block])
     (source / "one-block-text").write_bytes(text)
@@ -328,7 +345,7 @@ def test_a_file_of_many_blocks_is_one_v1_deflate_stream(tmp_path, monkeypatch, c
         block_reference(plain, block), block_reference(plain[:block], block),
         block_reference(text, block),
     )}
-    # A compressible file of one block is deflated exactly as one zlib stream.
+    # A file of one block that favours matching is deflated exactly as one zlib stream.
     assert block_reference(text, block) == zlib_stream(text, b"", zlib.Z_FINISH)
     restored = unpack(brick_dir, tmp_path / "out", passphrase=passphrase)
     assert restored.bytes_written == len(plain) + 2 * block
@@ -339,7 +356,7 @@ def test_compressible_blocks_are_deflated_as_before_the_probe(tmp_path):
     block = payload.CHUNK_BYTES
     source = tmp_path / "src"
     source.mkdir()
-    plain = nibbles(3 * block + 12_345, 14)
+    plain = words(3 * block + 12_345, 14)
     (source / "f").write_bytes(plain)
     pack(source, tmp_path / "brick", codec_chain=("deflate",), workers=2)
     assert (tmp_path / "brick" / "f").read_bytes() == block_reference(plain, block, zlib_stream)
@@ -355,20 +372,19 @@ PROBE_BOUNDS = (
 
 @st.composite
 def tiled_files(draw, size: int) -> bytes:
-    """`size` bytes cut from a row of 4 KiB tiles, each noise or compressible.
+    """`size` bytes cut from a row of 4 KiB tiles, each noise, nibbles or words.
 
-    The cut starts `phase` bytes into the first tile, so tiles need not
-    line up with probes.
+    Probes of the three tiles are stored, Huffman-coded and deflated. The
+    cut starts `phase` bytes into the first tile, so tiles need not line up
+    with probes.
     """
     phase = draw(st.integers(0, TILE - 1))
     count = -(-(phase + size) // TILE)
-    squeeze = draw(st.lists(st.booleans(), min_size=count, max_size=count))
-    noise = hashlib.shake_256(draw(st.binary(min_size=4, max_size=4))).digest(count * TILE)
-    text = noise.translate(bytes(0x40 | (i & 0x0F) for i in range(256)))  # as nibbles()
-    row = b"".join(
-        (text if squeezed else noise)[i * TILE : (i + 1) * TILE]
-        for i, squeezed in enumerate(squeeze)
-    )
+    kinds = draw(st.lists(st.integers(0, 2), min_size=count, max_size=count))
+    seed = draw(st.integers(0, 2**32 - 1))
+    noise = hashlib.shake_256(seed.to_bytes(4, "big")).digest(count * TILE)
+    tiles = (noise, nibbles(count * TILE, seed), words(count * TILE, seed))
+    row = b"".join(tiles[kind][i * TILE : (i + 1) * TILE] for i, kind in enumerate(kinds))
     return row[phase : phase + size]
 
 
@@ -424,6 +440,30 @@ def test_a_probe_is_deflated_only_if_it_shrinks(tmp_path):
     assert len(stored) > len(plain)  # stored, zeros and all
 
 
+def test_a_probe_huffman_codes_as_small_as_deflate_is_huffman_coded(tmp_path):
+    # Each zero byte ahead of nibbles saves more deflate output than Huffman
+    # output, so some run of zeros makes the two codings of a probe equal.
+    text = nibbles(2 * PIECE, 24)
+
+    def codings(zeros):
+        probe = bytes(zeros) + text[zeros:PROBE]
+        huffman = huffman_coder()
+        coded = huffman.compress(probe) + huffman.flush(zlib.Z_SYNC_FLUSH)
+        return zlib_stream(probe, b"", zlib.Z_SYNC_FLUSH), coded
+
+    even = next((z for z in range(1000) if len({len(c) for c in codings(z)}) == 1), None)
+    if even is None:
+        pytest.skip("this zlib codes none of these probes to the same size both ways")
+    plain = bytes(even) + text[even:]
+    source = tmp_path / "src"
+    source.mkdir()
+    (source / "f").write_bytes(plain)
+    pack(source, tmp_path / "brick", codec_chain=("deflate",))
+    stored = (tmp_path / "brick" / "f").read_bytes()
+    assert stored == block_reference(plain, payload.CHUNK_BYTES)
+    assert stored.startswith(codings(even)[1])  # Huffman-coded, as no larger
+
+
 def test_noise_reaches_deflate_only_as_probes(tmp_path, monkeypatch):
     block = payload.CHUNK_BYTES
     source = tmp_path / "src"
@@ -459,6 +499,86 @@ def test_noise_reaches_deflate_only_as_probes(tmp_path, monkeypatch):
     stored = (tmp_path / "brick" / "f").read_bytes()
     assert zlib.decompress(stored, -zlib.MAX_WBITS) == noise
     assert len(stored) <= len(noise) * 1.001
+
+
+def spy_on_strategies(monkeypatch) -> dict[int, int]:
+    """Count the bytes fed to zlib compressors, by deflate strategy, from here on.
+
+    The counts are not locked: compress on one thread while they are kept.
+    """
+    fed = collections.Counter()
+    real_compressobj = zlib.compressobj
+
+    class Spy:
+        def __init__(self, level, method=zlib.DEFLATED, wbits=zlib.MAX_WBITS, mem_level=8,
+                     strategy=zlib.Z_DEFAULT_STRATEGY, **kwargs):
+            self._compressor = real_compressobj(level, method, wbits, mem_level, strategy, **kwargs)
+            self._strategy = strategy
+
+        def compress(self, data):
+            fed[self._strategy] += len(data)
+            return self._compressor.compress(data)
+
+        def flush(self, *args):
+            return self._compressor.flush(*args)
+
+        def copy(self):
+            return self._compressor.copy()
+
+    monkeypatch.setattr(zlib, "compressobj", Spy)
+    return fed
+
+
+def test_nibbles_reach_matching_only_as_probes(tmp_path, monkeypatch):
+    block = payload.CHUNK_BYTES
+    source = tmp_path / "src"
+    source.mkdir()
+    plain = nibbles(3 * block + 12_345, 22)
+    (source / "f").write_bytes(plain)
+    fed = spy_on_strategies(monkeypatch)
+    payload._deflate_block(plain[:block], b"", False)
+    assert 0 < fed[zlib.Z_DEFAULT_STRATEGY] <= block // 8
+    assert fed[zlib.Z_HUFFMAN_ONLY] == block
+    fed.clear()
+    pack(source, tmp_path / "brick", codec_chain=("deflate",), workers=1)
+    monkeypatch.undo()
+    assert 0 < fed[zlib.Z_DEFAULT_STRATEGY] <= 4 * block // 8  # three blocks and a short one
+    assert fed[zlib.Z_HUFFMAN_ONLY] == len(plain)
+    stored = (tmp_path / "brick" / "f").read_bytes()
+    assert zlib.decompress(stored, -zlib.MAX_WBITS) == plain
+    assert len(stored) <= 0.52 * len(plain)  # level-6 deflate of every byte gives about 0.57
+
+
+# Each 32 KiB piece by the coding its probe picks: stored, Huffman-only, LZ77.
+# LZ77 deflates the rest of its block, so it changes coding only at a block's end.
+# The last block ends the stream with a short Huffman-only piece.
+CODED_BLOCKS = ("SHHSSHLL", "HSLLLLLL", "SSSSSSSH", "HHHHHHHS", "SH")
+
+
+def test_every_coding_and_change_of_coding_matches_the_reference(tmp_path, monkeypatch):
+    tiles = {
+        "S": lambda seed: hashlib.shake_256(seed.to_bytes(4, "big")).digest(PIECE),
+        "H": lambda seed: nibbles(PIECE, seed),
+        "L": lambda seed: words(PIECE, seed),
+    }
+    codings = "".join(CODED_BLOCKS)
+    cut = 12_345  # off the last piece
+    plain = b"".join(tiles[coding](seed) for seed, coding in enumerate(codings))[:-cut]
+    source = tmp_path / "src"
+    source.mkdir()
+    (source / "f").write_bytes(plain)
+    fed = spy_on_strategies(monkeypatch)
+    pack(source, tmp_path / "brick", codec_chain=("deflate",), workers=1)
+    monkeypatch.undo()
+    stored = (tmp_path / "brick" / "f").read_bytes()
+    assert stored == block_reference(plain, payload.CHUNK_BYTES)
+    assert zlib.decompress(stored, -zlib.MAX_WBITS) == plain
+    # Stored and Huffman-only pieces feed LZ77 their probes; each run of LZ77
+    # pieces is fed whole, and its first probe is also Huffman-coded.
+    matched = codings.count("L") * PIECE + (codings.count("S") + codings.count("H")) * PROBE
+    assert fed[zlib.Z_DEFAULT_STRATEGY] == matched
+    runs = sum(block.count("L") > 0 for block in CODED_BLOCKS)
+    assert fed[zlib.Z_HUFFMAN_ONLY] == codings.count("H") * PIECE - cut + runs * PROBE
 
 
 def test_small_deflate_files_and_other_codecs_start_no_block_thread(tmp_path, monkeypatch):
@@ -1387,9 +1507,21 @@ def bounded(call):
 
 
 def nibbles(size: int, seed: int) -> bytes:
-    """Random bytes of 16 values: deflate halves them, Huffman-coded from end to end."""
+    """Random bytes of 16 values: about half their size Huffman-coded, and no repeats to match."""
     noise = hashlib.shake_256(seed.to_bytes(4, "big")).digest(size)
     return noise.translate(bytes(0x40 | (i & 0x0F) for i in range(256)))
+
+
+WORDS = (
+    b"a an and are as at be by for from has he in is it its of on that the to was were "
+    b"will with brick block disk drive file data byte sneaker net tera scale"
+).split()
+
+
+def words(size: int, seed: int) -> bytes:
+    """Random words of a small vocabulary: repeats that LZ77 matching codes better."""
+    picks = hashlib.shake_256(seed.to_bytes(4, "big")).digest(size // 2 + 1)
+    return b" ".join(WORDS[pick % len(WORDS)] for pick in picks)[:size]
 
 
 def corrupting_flip(data: bytes, start: int) -> bytes:
