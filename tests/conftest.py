@@ -3,8 +3,12 @@ from __future__ import annotations
 import os
 import random
 from pathlib import Path
+from typing import NamedTuple
 
 from hypothesis import HealthCheck, settings
+
+from brickkit import brick as brick_mod
+from brickkit.manifest import MANIFEST_FILENAME
 
 settings.register_profile(
     "bulk", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -56,3 +60,58 @@ def read_tree(root: Path) -> dict[str, bytes]:
         for path in sorted(root.rglob("*"))
         if path.is_file()
     }
+
+
+# The name each case plants, where a link or file appears once the command
+# has found its output directory empty and before it creates that name.
+PLANTED = {
+    "payload": "a.txt",
+    "manifest": MANIFEST_FILENAME,
+    "brick-subdirectory": "sub",
+    "destination-subdirectory": "sub",
+    "scratch": ".brick-0.part",  # entry 0, a.txt, restores through it
+}
+
+
+class Planted(NamedTuple):
+    command: str  # "pack" or "unpack"
+    given: Path  # the source tree or the brick
+    made: Path  # the output directory, empty when the command checks it
+    name: str  # what is planted there, relative to made
+    outside: Path  # a tree outside both, which no command may change
+
+
+def plant_after_the_check(tmp_path: Path, monkeypatch, case: str) -> Planted:
+    """Set up `case`: its name is planted when pack or unpack resolves its key.
+
+    Both resolve it after checking that the output directory is empty and
+    before they create anything in it. The scratch name gets a regular file;
+    every other name a symlink into `outside`, whose a.txt and b.bin share
+    names with the tree's files.
+    """
+    source = tmp_path / "src"
+    (source / "sub").mkdir(parents=True)
+    (source / "a.txt").write_bytes(b"alpha")
+    (source / "sub" / "b.bin").write_bytes(bytes(range(100)) * 10)
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "a.txt").write_bytes(b"outside a")
+    (outside / "b.bin").write_bytes(b"outside b")
+    if case in ("destination-subdirectory", "scratch"):
+        brick_mod.pack(source, tmp_path / "brick")
+        planted = Planted("unpack", tmp_path / "brick", tmp_path / "out", PLANTED[case], outside)
+    else:
+        planted = Planted("pack", source, tmp_path / "brick", PLANTED[case], outside)
+    planted.made.mkdir()
+    at = planted.made / planted.name
+    resolve = brick_mod._resolve_key
+
+    def plant_then_resolve(*args):
+        if case == "scratch":
+            at.write_bytes(b"planted")
+        else:
+            at.symlink_to(outside if at.name == "sub" else outside / "a.txt")
+        return resolve(*args)
+
+    monkeypatch.setattr(brick_mod, "_resolve_key", plant_then_resolve)
+    return planted

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
 import os
@@ -28,7 +29,14 @@ from brickkit.brick import (
 )
 from brickkit.errors import ConfigError, IntegrityError
 from brickkit.manifest import MANIFEST_FILENAME, MAX_KDF_ITERATIONS, serialize_manifest
-from conftest import FAST_KDF_ITERATIONS, cap_reads, read_tree, write_random_tree
+from conftest import (
+    FAST_KDF_ITERATIONS,
+    PLANTED,
+    cap_reads,
+    plant_after_the_check,
+    read_tree,
+    write_random_tree,
+)
 
 CHAINS = [
     ("none",),
@@ -335,6 +343,19 @@ def test_unpack_wrong_passphrase_restores_nothing(tmp_path):
     assert read_tree(dest) == {}
 
 
+@pytest.mark.parametrize("precreated", [False, True], ids=["new-dest", "empty-dest"])
+def test_a_failed_unpack_leaves_no_directory_it_made(tmp_path, precreated):
+    brick_dir, _ = packed_brick(tmp_path, ("aes-256-gcm",))
+    dest = tmp_path / "out"
+    if precreated:
+        dest.mkdir()
+    with pytest.raises(IntegrityError):
+        unpack(brick_dir, dest, passphrase="wrong")
+    assert dest.exists() == precreated
+    if precreated:
+        assert list(dest.iterdir()) == []
+
+
 def test_empty_tree_round_trips(tmp_path):
     source = tmp_path / "src"
     source.mkdir()
@@ -477,3 +498,85 @@ def test_verify_reports_a_planted_deep_directory(tmp_path):
         assert [(f.path, f.kind) for f in report.findings] == [(relative, KIND_EXTRA)]
     finally:
         remove_deep_chain(brick_dir)
+
+
+# ---------- a name that appears meanwhile is refused, never written through ----------
+
+@pytest.mark.parametrize("case", [case for case in PLANTED if case != "scratch"])
+def test_a_link_planted_after_the_check_is_refused(tmp_path, monkeypatch, case):
+    planted = plant_after_the_check(tmp_path, monkeypatch, case)
+    before = read_tree(planted.outside)
+    command = pack if planted.command == "pack" else unpack
+    with pytest.raises(FileExistsError):
+        command(planted.given, planted.made)
+    assert read_tree(planted.outside) == before
+    # Nothing the failed run made is left, and the link it did not make stays.
+    assert os.listdir(planted.made) == [planted.name]
+    assert (planted.made / planted.name).is_symlink()
+
+
+def test_a_file_planted_at_a_scratch_name_fails_unpack_and_stays(tmp_path, monkeypatch):
+    planted = plant_after_the_check(tmp_path, monkeypatch, "scratch")
+    with pytest.raises(FileExistsError):
+        unpack(planted.given, planted.made)
+    assert os.listdir(planted.made) == [planted.name]
+    assert (planted.made / planted.name).read_bytes() == b"planted"
+
+
+# Every call that opens or creates a file or directory, by enclosing function.
+# A new one is a new spelling of "open a trusted file" or "create a name":
+# route it through _open_regular, _write_new or _new_tree, or add it here.
+EXPECTED_OPENS_AND_CREATES = [
+    ("_new_tree", ".mkdir"),
+    ("_new_tree", "os.mkdir"),
+    ("_open_regular", "os.open"),
+    ("_write_new", "os.open"),
+    ("load_manifest.parse", "open"),
+    ("pack.store", "os.open"),  # the source file: a missing one is an IO error, not a finding
+]
+
+
+def opens_and_creates(source: str) -> list[tuple[str, str]]:
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope += (node.name,)
+        if isinstance(node, ast.Call):
+            function = node.func
+            if isinstance(function, ast.Name) and function.id == "open":
+                found.append((".".join(scope), "open"))
+            elif isinstance(function, ast.Attribute):
+                on_os = isinstance(function.value, ast.Name) and function.value.id == "os"
+                if on_os and function.attr in ("open", "mkdir", "makedirs", "fdopen"):
+                    found.append((".".join(scope), f"os.{function.attr}"))
+                elif not on_os and function.attr in (
+                    "mkdir", "write_bytes", "write_text", "open", "touch"
+                ):
+                    found.append((".".join(scope), f".{function.attr}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sorted(found)
+
+
+def test_brick_opens_and_creates_files_in_one_place_each():
+    source = Path(brick_mod.__file__).read_text(encoding="utf-8")
+    assert opens_and_creates(source) == sorted(EXPECTED_OPENS_AND_CREATES)
+
+
+def test_the_open_and_create_listing_sees_every_spelling():
+    source = """
+def f(path):
+    os.open(path, 0)
+    path.write_bytes(b"")
+    def g():
+        open(path)
+        path.parent.mkdir()
+    os.mkdir(path)
+"""
+    assert opens_and_creates(source) == [
+        ("f", ".write_bytes"), ("f", "os.mkdir"), ("f", "os.open"),
+        ("f.g", ".mkdir"), ("f.g", "open"),
+    ]

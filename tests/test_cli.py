@@ -15,7 +15,7 @@ from brickkit import brick as brick_mod
 from brickkit.catalog import LINK_COLUMNS, MEDIA_COLUMNS
 from brickkit.cli import _append_csv, main
 from brickkit.net_bench import HANDSHAKE
-from conftest import FAST_KDF_ITERATIONS
+from conftest import FAST_KDF_ITERATIONS, PLANTED, plant_after_the_check
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -380,6 +380,15 @@ def test_pack_refuses_a_directory_swapped_for_a_link_after_the_walk(tmp_path, ca
     err = capsys.readouterr().err
     assert one_line_error(err) and "sub/b.bin: replaced after the source was walked" in err
     assert not destination.exists()
+
+
+@pytest.mark.parametrize("case", list(PLANTED))
+def test_a_planted_name_is_one_io_error_line(tmp_path, capsys, monkeypatch, case):
+    planted = plant_after_the_check(tmp_path, monkeypatch, case)
+    assert main([planted.command, str(planted.given), str(planted.made)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert "File exists" in err and planted.name in err
 
 
 # ---------- bench-io ----------
