@@ -212,7 +212,8 @@ def _run_entries(
     pool spreads files, not the work within one: under deflate, pack also
     hands the blocks of each file over payload.CHUNK_BYTES, inline or
     pooled, to its block pool, so one large file uses every core, and a
-    deep check or unpack inflates a pooled file on threads of its own.
+    deep check or unpack writes a pooled deflate file's plain bytes on a
+    thread of its own.
     """
     stop = threading.Event()
 
@@ -423,8 +424,10 @@ def _check_entry(
 
     A symlink, FIFO or directory in the payload's place is a missing payload:
     the shipped brick would not hold those bytes. A deep check hands the
-    decoded bytes to write() as they appear; with threads > 1, a deflate
-    payload of payload.CHUNK_BYTES and up is inflated on threads of its own.
+    decoded bytes to write() as they appear, each valid only until write()
+    returns; with threads > 1, a deflate payload of payload.CHUNK_BYTES and
+    up is inflated where it is read, and its plain bytes are hashed and
+    written on a thread of its own.
     """
 
     def check(fd: int, info: os.stat_result) -> tuple[Finding | None, int]:
@@ -448,7 +451,8 @@ def verify(
     Each payload is read once, deep or not, and never through a symlink in
     its place. Unless `workers` is 1, a payload of payload.CHUNK_BYTES
     (256 KiB) and up is checked on a pool thread, and a deep check of a
-    deflate payload that size inflates it on threads of its own.
+    deflate payload that size inflates it where it is read and hashes the
+    plain bytes on a thread of its own.
     """
     brick_dir = Path(brick_dir)
     thread_count = _worker_count(workers)
@@ -584,8 +588,8 @@ def unpack(
     rerun after repair can be compared against them. A symlink in a
     payload's place is a missing payload, never followed. Unless `workers`
     is 1, a payload of payload.CHUNK_BYTES (256 KiB) and up is restored on a
-    pool thread, and a deflate payload that size is inflated, and its plain
-    bytes hashed and written, on two threads beside the one reading it.
+    pool thread, and a deflate payload that size is inflated by the thread
+    reading it while its plain bytes are hashed and written on another.
     """
     brick_dir = Path(brick_dir)
     dest_dir = Path(dest_dir)

@@ -233,8 +233,8 @@ def _add_passphrase_flags(parser: argparse.ArgumentParser) -> None:
         type=int,
         help="threads for files of 256 KiB and up, smaller files run on the calling thread;"
         " pack also deflates the blocks of files over 256 KiB on a pool of this many threads,"
-        " and verify --deep and unpack inflate a deflate payload of 256 KiB and up on threads"
-        " of its own beside the reading thread; 1 keeps everything on one thread;"
+        " and verify --deep and unpack decode a deflate payload of 256 KiB and up on two threads:"
+        " one reads and inflates it, one hashes and writes; 1 keeps everything on one thread;"
         " at most 64, where pack may hold about (workers + 1)^2 blocks of 256 KiB"
         " (1.2 GiB) in memory (default: one per core, up to 8)",
     )

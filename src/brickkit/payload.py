@@ -27,12 +27,14 @@ deflated exactly as one zlib stream of the whole file.
 
 A v1 stream cannot itself be inflated in parallel, so decode overlaps its
 stages instead, as pigz does when it decompresses. Given more than one
-thread, a deflate payload of at least CHUNK_BYTES is inflated on a thread
-of its own, and its plain bytes are hashed and written on a third, while
-the calling thread reads, hashes and decrypts the payload. The stages hand
-each other their pieces through one-piece hand-offs, so memory stays flat
-here too. With one thread, every stage runs on the calling thread, on the
-same pieces.
+thread, a deflate payload of at least CHUNK_BYTES has its plain bytes
+hashed and written on a thread of its own, while the calling thread reads,
+hashes, decrypts and inflates the payload. The two hand each other pieces
+through a one-piece hand-off, so memory stays flat here too. With one
+thread, every step runs on the calling thread, on the same pieces.
+Decryption writes every piece of a payload into one reused buffer. That is
+safe because a decrypted piece never leaves the calling thread: it is
+inflated, or written, before the next piece is read.
 """
 
 from __future__ import annotations
@@ -60,10 +62,11 @@ NONCE_BYTES = 12
 TAG_BYTES = 16
 DEFLATE_LEVEL = 6
 
-# The codec's one size. It caps every read, deflate block, inflate output
-# and stage hand-off, and a file of this size and up gets threads: a pooled
-# entry and, under deflate, decode stages. Each deflate block in flight
-# holds its input and its output, so it also sets pack's memory per thread.
+# The codec's one size. It caps every read, deflate block, inflate output,
+# decrypt buffer and hand-off, and a file of this size and up gets threads:
+# a pooled entry and, under deflate, a decode writer. Each deflate block in
+# flight holds its input and its output, so it also sets pack's memory per
+# thread.
 CHUNK_BYTES = 256 << 10
 # Deflate's window: the primer of each block, and the pieces it is probed in.
 _DEFLATE_WINDOW = 32 << 10
@@ -366,12 +369,12 @@ class _Inflate:
 
 
 class _Stage:
-    """One decode stage on a thread of its own, fed pieces through a one-piece hand-off.
+    """The decode writer: a thread of its own, fed pieces through a one-piece hand-off.
 
     The thread starts when the stage is built; close() ends it. work() gets
     each piece in order. Once it raises, the stage keeps taking pieces and
-    drops them, so the stage feeding it never blocks; `failure` holds the
-    exception, and put() raises it to tell that stage to stop.
+    drops them, so the thread feeding it never blocks; `failure` holds the
+    exception, and put() raises it to tell that thread to stop.
     """
 
     def __init__(self, name: str, work: Callable[[bytes], object]) -> None:
@@ -406,9 +409,11 @@ def _decrypt(
 ) -> str | None:
     """Read an AES-256-GCM payload as its nonce, ciphertext and tag, handing feed() the plaintext.
 
-    The ciphertext is read, and fed on, a piece at a time. Returns the
-    GCM error, if any. A payload declared too short for nonce and tag is
-    left unread; one that ends early is read up to its end.
+    The ciphertext is read, and fed on, a piece at a time. Each piece is
+    decrypted into one buffer, sized to the ciphertext up to CHUNK_BYTES and
+    reused for the next, so feed() gets a view that is valid only until it
+    returns. Returns the GCM error, if any. A payload declared too short for
+    nonce and tag is left unread; one that ends early is read up to its end.
     """
     if size < NONCE_BYTES + TAG_BYTES:
         return "ciphertext shorter than nonce plus tag"
@@ -416,8 +421,11 @@ def _decrypt(
     if len(nonce) < NONCE_BYTES:
         return "payload ended before its tag"
     decryptor = Cipher(algorithms.AES(key), modes.GCM(nonce)).decryptor()
-    for chunk in _read_chunks(fd, size - NONCE_BYTES - TAG_BYTES, payload):
-        feed(decryptor.update(chunk))
+    ciphertext = size - NONCE_BYTES - TAG_BYTES
+    # update_into asks for room past its input: one AES block less a byte.
+    buffer = memoryview(bytearray(min(CHUNK_BYTES, ciphertext) + 15))
+    for chunk in _read_chunks(fd, ciphertext, payload):
+        feed(buffer[: decryptor.update_into(chunk, buffer)])
     tag = b"".join(_read_chunks(fd, TAG_BYTES, payload))
     if len(tag) < TAG_BYTES:
         return "payload ended before its tag"
@@ -441,18 +449,19 @@ def decode_file(
 
     Decoded bytes go to write() as they appear, before the tag and the
     digests are checked; the caller must not trust them until it has read
-    the result. A GCM error is reported ahead of a deflate error, because
-    deflate saw unauthenticated bytes.
+    the result. A piece is valid only until write() returns: under
+    aes-256-gcm alone it is a view of the buffer that the next piece is
+    decrypted into, so a writer that keeps it must copy it. A GCM error is
+    reported ahead of a deflate error, because deflate saw unauthenticated
+    bytes.
 
     With threads > 1, a deflate payload of at least CHUNK_BYTES, one piece,
-    is decoded in three stages: this thread reads, hashes and decrypts it
-    (AES-GCM holds the GIL, so a thread of its own would not help), one
-    thread inflates it, and another hashes and writes the plain bytes. Each stage's
-    thread starts as the stage is built, and every stage built has ended
-    before this returns or raises, even if the other failed to build. An
-    exception in a later stage is raised ahead of one in an earlier stage,
-    since it comes from earlier in the stream. The result is the same as
-    with one thread.
+    is decoded in two stages: this thread reads, hashes, decrypts and
+    inflates it (so the decrypt buffer stays on one thread), and one thread
+    hashes and writes the plain bytes. That
+    thread has ended before this returns or raises. An exception in it is
+    raised ahead of one here, since it comes from earlier in the stream.
+    The result is the same as with one thread.
     """
     payload = _Sink()
     plain = out = None
@@ -465,26 +474,22 @@ def decode_file(
         # `out` hashes and writes the plain bytes, `plain` counts them; on
         # one thread they are the same sink.
         plain = out = _Sink(write, hashed=chain != (CODEC_NONE,), limit=plain_limit)
-        stages: list[_Stage] = []
+        stage = None
         try:
             if CODEC_DEFLATE in chain and threads > 1 and size >= CHUNK_BYTES:
-                stages.append(_Stage("brick-write", out.feed))
-                # The inflating thread counts the plain bytes and stops at the limit.
-                plain = _Sink(stages[0].put, hashed=False, limit=plain_limit)
+                stage = _Stage("brick-write", out.feed)
+                # This thread counts the plain bytes and stops at the limit.
+                plain = _Sink(stage.put, hashed=False, limit=plain_limit)
             inflate = _Inflate(plain) if CODEC_DEFLATE in chain else None
             feed = inflate.feed if inflate is not None else plain.feed
-            if stages:
-                stages.insert(0, _Stage("brick-inflate", feed))
-                feed = stages[0].put
             if encrypted:
                 error = _decrypt(fd, size, key, payload, feed)
             else:
                 for chunk in _read_chunks(fd, size, payload):
                     feed(chunk)
         finally:
-            for stage in stages:
+            if stage is not None:
                 stage.close()
-            for stage in reversed(stages):
                 if stage.failure is not None:
                     raise stage.failure
         if inflate is not None:

@@ -161,7 +161,7 @@ def deflate_block(request, monkeypatch):
     return payload.CHUNK_BYTES
 
 
-DECODE_STAGES = ("brick-write", "brick-inflate")  # in the order they start
+DECODE_STAGES = ("brick-write",)  # the one decode thread: it hashes and writes the plain bytes
 
 
 @pytest.fixture
@@ -666,7 +666,7 @@ def test_a_failure_mid_file_stops_the_block_pool(tmp_path, monkeypatch, failure)
 
 
 # Every block case on one thread, then the deflate ones again with their
-# payloads inflated beside the reading thread.
+# plain bytes written beside the thread that reads and inflates them.
 INFLATED = [index for index, (chain, _) in enumerate(BLOCK_CASES) if "deflate" in chain]
 THREAD_CASES = [(*case, 1) for case in BLOCK_CASES] + [(*BLOCK_CASES[i], 2) for i in INFLATED]
 THREAD_CASE_IDS = BLOCK_CASE_IDS + [f"{BLOCK_CASE_IDS[i]}-threads2" for i in INFLATED]
@@ -1547,7 +1547,7 @@ def corrupting_flip(data: bytes, start: int) -> bytes:
 def test_a_failing_stage_gives_what_one_thread_gives(
     tmp_path, monkeypatch, capsys, stage_starts, failure
 ):
-    """A failure in each stage: the writer, the inflater, and the reader (twice)."""
+    """A failure in each step: the writer, inflate, and the read (twice)."""
     source = tmp_path / "src"
     source.mkdir()
     (source / "f").write_bytes(nibbles(16 * payload.CHUNK_BYTES, 12))
@@ -1609,7 +1609,7 @@ def test_a_failing_stage_gives_what_one_thread_gives(
 
     serial, pipelined = outcomes(1), outcomes(2)
     assert pipelined[:4] == serial[:4]
-    # verify --deep and both unpacks inflated the file beside its reader.
+    # verify --deep and both unpacks wrote the file beside its reader.
     assert serial[4] == [] and pipelined[4] == [*DECODE_STAGES] * 3
     findings, raised, code, err, _ = serial
     if failure == "write":
@@ -1745,7 +1745,7 @@ def test_an_earlier_write_failure_is_raised_ahead_of_a_later_read_failure(tmp_pa
         assert raised.value.errno == errno.ENOSPC, threads
 
 
-def test_a_stage_that_fails_to_start_ends_the_one_built_before_it(tmp_path, monkeypatch):
+def test_a_writer_that_fails_to_start_leaves_no_thread_and_writes_nothing(tmp_path, monkeypatch):
     source = tmp_path / "src"
     source.mkdir()
     (source / "f").write_bytes(nibbles(4 * payload.CHUNK_BYTES, 18))
@@ -1754,21 +1754,102 @@ def test_a_stage_that_fails_to_start_ends_the_one_built_before_it(tmp_path, monk
     real_start = threading.Thread.start
 
     def start(thread):
-        if thread.name == "brick-inflate":
+        if thread.name == "brick-write":
             raise RuntimeError("can't start new thread")
         real_start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", start)
     threads_before = threading.active_count()
+    written = []
     fd = os.open(brick_dir / "f", os.O_RDONLY)
     try:
         with pytest.raises(RuntimeError, match="can't start new thread"):
             bounded(lambda: payload.decode_file(
-                fd, entry.payload_size, ("deflate",), None, entry.plain_size, None, 2
+                fd, entry.payload_size, ("deflate",), None, entry.plain_size, written.append, 2
             ))
     finally:
         os.close(fd)
     assert threading.active_count() == threads_before
+    assert written == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_inflate_runs_on_the_thread_that_decodes(tmp_path, monkeypatch, stage_starts, threads):
+    source = tmp_path / "src"
+    source.mkdir()
+    (source / "f").write_bytes(nibbles(4 * payload.CHUNK_BYTES, 19))
+    chain = ("deflate", "aes-256-gcm")
+    brick_dir = tmp_path / "brick"
+    result = do_pack(source, brick_dir, chain)
+    entry = result.manifest.entries[0]
+    key = payload.derive_key(PASSPHRASE, result.manifest.kdf)
+    fed_on = []
+    real_feed = payload._Inflate.feed
+
+    def feed(self, data):
+        fed_on.append(threading.get_ident())
+        return real_feed(self, data)
+
+    monkeypatch.setattr(payload._Inflate, "feed", feed)
+    decoded, written = decode_with(
+        brick_dir / "f", entry.payload_size, chain, key, entry.plain_size, threads
+    )
+    assert (decoded.error, decoded.plain_sha256) == (None, entry.plain_sha256)
+    assert written == (source / "f").read_bytes()
+    assert len(fed_on) > 1 and set(fed_on) == {threading.get_ident()}
+    assert stage_starts == [*DECODE_STAGES] * (threads > 1)
+
+
+def test_a_small_encrypted_payload_decrypts_into_a_small_buffer(tmp_path):
+    source = tmp_path / "src"
+    source.mkdir()
+    (source / "f").write_bytes(nibbles(1000 - payload.NONCE_BYTES - payload.TAG_BYTES, 21))
+    chain = ("aes-256-gcm",)
+    brick_dir = tmp_path / "brick"
+    result = do_pack(source, brick_dir, chain)
+    entry = result.manifest.entries[0]
+    assert entry.payload_size == 1000
+    key = payload.derive_key(PASSPHRASE, result.manifest.kdf)
+    fd = os.open(brick_dir / "f", os.O_RDONLY)
+    tracemalloc.start()
+    try:
+        decoded = payload.decode_file(fd, 1000, chain, key, entry.plain_size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        os.close(fd)
+    assert (decoded.error, decoded.plain_sha256) == (None, entry.plain_sha256)
+    # The decrypt buffer is sized to the payload, not to a whole chunk.
+    assert peak < payload.CHUNK_BYTES // 4
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_writer_that_copies_each_piece_gets_the_plain_bytes(tmp_path, threads):
+    """A piece is valid until write() returns; under aes-256-gcm alone it is a reused buffer."""
+    source = tmp_path / "src"
+    source.mkdir()
+    plain = nibbles(3 * payload.CHUNK_BYTES - 100, 22)
+    (source / "f").write_bytes(plain)
+    chain = ("aes-256-gcm",)
+    brick_dir = tmp_path / "brick"
+    result = do_pack(source, brick_dir, chain)
+    entry = result.manifest.entries[0]
+    key = payload.derive_key(PASSPHRASE, result.manifest.kdf)
+    kept = []
+    fd = os.open(brick_dir / "f", os.O_RDONLY)
+    try:
+        decoded = payload.decode_file(
+            fd, entry.payload_size, chain, key, entry.plain_size,
+            lambda piece: kept.append(bytes(piece)), threads,
+        )
+    finally:
+        os.close(fd)
+    assert len([piece for piece in kept if piece]) == 3
+    assert b"".join(kept) == plain
+    assert decoded == (
+        entry.payload_size, entry.payload_sha256, len(plain), hashlib.sha256(plain).hexdigest(),
+        None, False,
+    )
 
 
 def test_many_pipelines_at_once_on_a_busy_interpreter(tmp_path, monkeypatch, stage_starts):
