@@ -23,7 +23,10 @@ already costs a probe per piece. A piece whose probe Huffman coding alone
 Huffman-only, which is faster and smaller on high-entropy text over a small
 alphabet. Anything else starts an ordinary deflate of the rest of the
 block. A file of at most one block whose start favours matching is
-deflated exactly as one zlib stream of the whole file.
+deflated exactly as one zlib stream of the whole file. Only a block's first
+probe is sized on a copy of its compressor, which that deflate may go on
+with; a later probe's compressor is flushed itself, and the piece deflated
+again from a fresh one if it comes to that.
 
 A v1 stream cannot itself be inflated in parallel, so decode overlaps its
 stages instead, as pigz does when it decompresses. Given more than one
@@ -34,7 +37,8 @@ through a one-piece hand-off, so memory stays flat here too. With one
 thread, every step runs on the calling thread, on the same pieces.
 Decryption writes every piece of a payload into one reused buffer. That is
 safe because a decrypted piece never leaves the calling thread: it is
-inflated, or written, before the next piece is read.
+inflated, or written, before the next piece is read. Encryption does the
+same, into a buffer grown for a deflate block that comes out larger.
 """
 
 from __future__ import annotations
@@ -165,9 +169,11 @@ def _deflate_block(block: bytes, primer: bytes, final: bool) -> bytes:
 
     The block is walked in pieces of _DEFLATE_WINDOW, and each piece gets
     one of three codings, chosen from its first _DEFLATE_PROBE bytes. The
-    probe is deflated at DEFLATE_LEVEL, by the primed compressor for the
-    first piece and by a fresh one after that, and a sync flush of a copy
-    shows its size; the copy leaves the compressor untouched.
+    probe is deflated at DEFLATE_LEVEL and sync-flushed to show its size.
+    The first piece's compressor is primed, and LZ77 may go on with it, so
+    a copy of it is flushed; a later piece's compressor is fresh and is
+    flushed itself, so LZ77 from there deflates the piece again from
+    another fresh compressor, which gives the same bytes.
 
     - Stored, if the probe did not shrink: the probe is sync-flushed and
       the rest of the piece follows as one stored block (RFC 1951, 3.2.4).
@@ -198,28 +204,36 @@ def _deflate_block(block: bytes, primer: bytes, final: bool) -> bytes:
         probed = compressor.compress(probe)
         rest = view[start + len(probe) :]
         piece = rest[: _DEFLATE_WINDOW - len(probe)]
-        start += _DEFLATE_WINDOW
-        last = start >= len(block)
-        matched = len(probed) + len(compressor.copy().flush(zlib.Z_SYNC_FLUSH))
-        if matched < len(probe):
+        last = start + _DEFLATE_WINDOW >= len(block)
+        # Only the first piece's compressor is primed and worth going on
+        # with, so only it is copied to be flushed.
+        flushed = (compressor.copy() if start == 0 else compressor).flush(zlib.Z_SYNC_FLUSH)
+        matched = len(probed) + len(flushed)
+        shrank = matched < len(probe)
+        if shrank:
             huffman = zlib.compressobj(
                 DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS, 8, zlib.Z_HUFFMAN_ONLY
             )
             coded = huffman.compress(probe) + huffman.flush(zlib.Z_SYNC_FLUSH)
-            if len(coded) > matched:
-                out += (probed, compressor.compress(rest), compressor.flush(end))
-                return b"".join(out)
+        # LZ77 deflates the rest of the block if Huffman coding does not beat
+        # it on the probe, or if a probe that did not shrink ends the block.
+        if shrank and len(coded) > matched or not (shrank or rest):
+            if start:
+                # The flush ended this compressor's block: deflate the probe again.
+                compressor = zlib.compressobj(DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
+                probed, rest = b"", view[start:]
+            out += (probed, compressor.compress(rest), compressor.flush(end))
+            return b"".join(out)
+        if shrank:
             ending = end if last else zlib.Z_SYNC_FLUSH
             out += (coded, huffman.compress(piece), huffman.flush(ending))
-        elif not rest:
-            out += (probed, compressor.flush(end))
-            return b"".join(out)
         else:
             # A stored block's header: BFINAL with BTYPE 00, then LEN and NLEN.
             header = struct.pack("<BHH", final and last, len(piece), len(piece) ^ 0xFFFF)
-            out += (probed, compressor.flush(zlib.Z_SYNC_FLUSH), header, piece)
+            out += (probed, flushed, header, piece)
         if last:
             return b"".join(out)
+        start += _DEFLATE_WINDOW
         compressor = zlib.compressobj(DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
 
 
@@ -264,6 +278,10 @@ def encode_file(
     block order. The payload bytes depend only on the input, never on the
     pool or the read size. If anything here fails, blocks not yet started
     are cancelled.
+
+    A piece is valid only until write() returns: under aes-256-gcm it is a
+    view of the buffer that the next piece is encrypted into, so a writer
+    that keeps it must copy it.
     """
     out = _Sink(write)
     if chain == (CODEC_NONE,):
@@ -278,14 +296,20 @@ def encode_file(
         nonce = os.urandom(NONCE_BYTES)
         encryptor = Cipher(algorithms.AES(key), modes.GCM(nonce)).encryptor()
         out.feed(nonce)
+    buffer = memoryview(bytearray())  # sized by the first piece, grown for a larger one
 
     def seal(data: bytes) -> None:
+        nonlocal buffer
         if encryptor is not None:
             if out.size - NONCE_BYTES + len(data) > GCM_MAX_BYTES:
                 raise ConfigError(
                     f"ciphertext over {GCM_MAX_BYTES:,} bytes exceeds AES-GCM's single-nonce limit"
                 )
-            data = encryptor.update(data)
+            # update_into asks for room past its input: one AES block less a
+            # byte. A deflate block that does not shrink is over CHUNK_BYTES.
+            if len(buffer) < len(data) + 15:
+                buffer = memoryview(bytearray(len(data) + 15))
+            data = buffer[: encryptor.update_into(data, buffer)]
         out.feed(data)
 
     plain = _Sink()

@@ -23,6 +23,7 @@ import threading
 import time
 import tracemalloc
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -471,6 +472,7 @@ def test_noise_reaches_deflate_only_as_probes(tmp_path, monkeypatch):
     noise = hashlib.shake_256(b"incompressible").digest(3 * block + 12_345)
     (source / "f").write_bytes(noise)
     deflated = []  # bytes fed to a compressor at DEFLATE_LEVEL, per call
+    copies = []  # compressors copied
     real_compressobj = zlib.compressobj
 
     class Spy:
@@ -487,24 +489,29 @@ def test_noise_reaches_deflate_only_as_probes(tmp_path, monkeypatch):
             return self._compressor.flush(*args)
 
         def copy(self):
+            copies.append(self)
             return self._compressor.copy()
 
     monkeypatch.setattr(zlib, "compressobj", Spy)
     payload._deflate_block(noise[:block], b"", False)
     assert 0 < sum(deflated) <= block // 8
+    assert len(copies) <= 1  # only the primed first probe is sized on a copy
     deflated.clear()
+    copies.clear()
     pack(source, tmp_path / "brick", codec_chain=("deflate",), workers=1)
     monkeypatch.undo()
     assert 0 < sum(deflated) <= 4 * block // 8  # three blocks and a short one
+    assert len(copies) <= 4  # one per block at most
     stored = (tmp_path / "brick" / "f").read_bytes()
     assert zlib.decompress(stored, -zlib.MAX_WBITS) == noise
     assert len(stored) <= len(noise) * 1.001
 
 
-def spy_on_strategies(monkeypatch) -> dict[int, int]:
+def spy_on_strategies(monkeypatch) -> collections.Counter:
     """Count the bytes fed to zlib compressors, by deflate strategy, from here on.
 
-    The counts are not locked: compress on one thread while they are kept.
+    The compressors copied are counted under "copies". The counts are not
+    locked: compress on one thread while they are kept.
     """
     fed = collections.Counter()
     real_compressobj = zlib.compressobj
@@ -523,6 +530,7 @@ def spy_on_strategies(monkeypatch) -> dict[int, int]:
             return self._compressor.flush(*args)
 
         def copy(self):
+            fed["copies"] += 1
             return self._compressor.copy()
 
     monkeypatch.setattr(zlib, "compressobj", Spy)
@@ -539,11 +547,13 @@ def test_nibbles_reach_matching_only_as_probes(tmp_path, monkeypatch):
     payload._deflate_block(plain[:block], b"", False)
     assert 0 < fed[zlib.Z_DEFAULT_STRATEGY] <= block // 8
     assert fed[zlib.Z_HUFFMAN_ONLY] == block
+    assert fed["copies"] <= 1  # only the primed first probe is sized on a copy
     fed.clear()
     pack(source, tmp_path / "brick", codec_chain=("deflate",), workers=1)
     monkeypatch.undo()
     assert 0 < fed[zlib.Z_DEFAULT_STRATEGY] <= 4 * block // 8  # three blocks and a short one
     assert fed[zlib.Z_HUFFMAN_ONLY] == len(plain)
+    assert fed["copies"] <= 4  # one per block at most
     stored = (tmp_path / "brick" / "f").read_bytes()
     assert zlib.decompress(stored, -zlib.MAX_WBITS) == plain
     assert len(stored) <= 0.52 * len(plain)  # level-6 deflate of every byte gives about 0.57
@@ -574,9 +584,12 @@ def test_every_coding_and_change_of_coding_matches_the_reference(tmp_path, monke
     assert stored == block_reference(plain, payload.CHUNK_BYTES)
     assert zlib.decompress(stored, -zlib.MAX_WBITS) == plain
     # Stored and Huffman-only pieces feed LZ77 their probes; each run of LZ77
-    # pieces is fed whole, and its first probe is also Huffman-coded.
+    # pieces is fed whole, and its first probe is also Huffman-coded. A run
+    # that starts after its block's first piece is fed its probe once more:
+    # the compressor that sized the probe was flushed, so a fresh one starts.
+    late_runs = sum(block.find("L") > 0 for block in CODED_BLOCKS)
     matched = codings.count("L") * PIECE + (codings.count("S") + codings.count("H")) * PROBE
-    assert fed[zlib.Z_DEFAULT_STRATEGY] == matched
+    assert fed[zlib.Z_DEFAULT_STRATEGY] == matched + late_runs * PROBE
     runs = sum(block.count("L") > 0 for block in CODED_BLOCKS)
     assert fed[zlib.Z_HUFFMAN_ONLY] == codings.count("H") * PIECE - cut + runs * PROBE
 
@@ -1911,3 +1924,116 @@ def test_an_inflated_payload_never_piles_up_in_memory(tmp_path, monkeypatch, sta
         unpack(brick_dir, tmp_path / "bomb", workers=2)
     assert leftovers(tmp_path / "bomb") == []
     assert stage_starts == [*DECODE_STAGES] * 3
+
+
+# ---------- pack encrypts into one reused buffer ----------
+
+def watch_encrypt_buffers(monkeypatch) -> list[int]:
+    """Record, from here on, the room each update_into call of pack's encryptor is given."""
+    rooms = []
+    real_cipher = payload.Cipher
+
+    class Encryptor:
+        def __init__(self, encryptor):
+            self._encryptor = encryptor
+            self.finalize = encryptor.finalize
+
+        def update_into(self, data, buffer):
+            rooms.append(len(buffer))
+            return self._encryptor.update_into(data, buffer)
+
+        @property
+        def tag(self):
+            return self._encryptor.tag
+
+    class Spy:
+        def __init__(self, *args):
+            self._cipher = real_cipher(*args)
+
+        def encryptor(self):
+            return Encryptor(self._cipher.encryptor())
+
+    monkeypatch.setattr(payload, "Cipher", Spy)
+    return rooms
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_deflate_block_larger_than_a_chunk_grows_the_encrypt_buffer(
+    tmp_path, monkeypatch, workers
+):
+    source = tmp_path / "src"
+    source.mkdir()
+    # A block of noise comes out of deflate a little larger than it went in.
+    text = words(payload.CHUNK_BYTES, 31)
+    noise = hashlib.shake_256(b"final block").digest(payload.CHUNK_BYTES)
+    plain = text + noise
+    (source / "f").write_bytes(plain)
+    assert len(payload._deflate_block(noise, text[-PIECE:], True)) > payload.CHUNK_BYTES
+    rooms = watch_encrypt_buffers(monkeypatch)
+    brick_dir = tmp_path / "brick"
+    chain = ("deflate", "aes-256-gcm")
+    pack(
+        source, brick_dir, codec_chain=chain, passphrase=PASSPHRASE,
+        kdf_iterations=FAST_KDF_ITERATIONS, workers=workers,
+    )
+    monkeypatch.undo()
+    # One buffer for the first block's output, one grown for the second's.
+    assert len(rooms) == 2
+    assert rooms[0] < payload.CHUNK_BYTES + 15 < rooms[1]
+    assert verify(brick_dir, deep=True, passphrase=PASSPHRASE).ok
+    unpack(brick_dir, tmp_path / "out", passphrase=PASSPHRASE)
+    assert (tmp_path / "out" / "f").read_bytes() == plain
+
+
+def test_a_small_file_encrypts_into_a_small_buffer(tmp_path):
+    path = tmp_path / "f"
+    path.write_bytes(nibbles(1000, 32))
+    written = []
+    fd = os.open(path, os.O_RDONLY)
+    tracemalloc.start()
+    try:
+        encoded = payload.encode_file(fd, 1000, written.append, ("aes-256-gcm",), bytes(32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        os.close(fd)
+    assert encoded.payload_size == 1000 + payload.NONCE_BYTES + payload.TAG_BYTES
+    # The encrypt buffer is sized to the pieces, not to a whole chunk.
+    assert peak < payload.CHUNK_BYTES // 4
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chain", [("aes-256-gcm",), ("deflate", "aes-256-gcm")], ids=str)
+def test_a_writer_that_copies_each_piece_gets_the_packed_payload(
+    tmp_path, monkeypatch, chain, workers
+):
+    """A piece is valid until write() returns; under aes-256-gcm it is a reused buffer."""
+    source = tmp_path / "src"
+    source.mkdir()
+    noise = hashlib.shake_256(b"middle block").digest(payload.CHUNK_BYTES)
+    plain = words(payload.CHUNK_BYTES, 33) + noise + nibbles(payload.CHUNK_BYTES - 100, 34)
+    (source / "f").write_bytes(plain)
+    # The same salt and nonce for both encodings, so their bytes can be compared.
+    monkeypatch.setattr(os, "urandom", lambda size: bytes(range(size)))
+    result = pack(
+        source, tmp_path / "brick", codec_chain=chain, passphrase=PASSPHRASE,
+        kdf_iterations=FAST_KDF_ITERATIONS, workers=workers,
+    )
+    key = payload.derive_key(PASSPHRASE, result.manifest.kdf)
+    kept = []
+    fd = os.open(source / "f", os.O_RDONLY)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            encoded = payload.encode_file(
+                fd, len(plain), lambda piece: kept.append(bytes(piece)), chain, key,
+                pool if workers > 1 else None, workers,
+            )
+    finally:
+        os.close(fd)
+    monkeypatch.undo()
+    assert len(kept) == 5  # the nonce, three pieces and the tag
+    assert b"".join(kept) == (tmp_path / "brick" / "f").read_bytes()
+    entry = result.manifest.entries[0]
+    assert encoded == (
+        entry.plain_size, entry.plain_sha256, entry.payload_size, entry.payload_sha256
+    )
