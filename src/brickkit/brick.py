@@ -493,7 +493,7 @@ def _directories(paths: Iterable[str]) -> list[str]:
 
 
 @contextlib.contextmanager
-def _new_tree(root: Path, directories: list[str], files: Sequence[str] = ()) -> Iterator[None]:
+def _new_tree(root: Path, directories: list[str], files: Iterable[str] = ()) -> Iterator[None]:
     """Create root, if need be, and each directory below it anew, parents first, then run the body.
 
     A directory already there is an error. If the body raises, what this
@@ -559,19 +559,25 @@ def _write_new(path: str, produce: Callable[[Callable[[bytes], None]], Any]) -> 
 
 def _restore(
     root: str, dest: str, chain: tuple[str, ...], key: bytes | None, threads: int,
-    job: tuple[ChunkEntry, str],
+    scratch_left: set[str], job: tuple[ChunkEntry, str],
 ) -> int:
-    """Decode one payload into its scratch file and give it its final name once it is proven."""
+    """Decode one payload into its scratch file and give it its final name once it is proven.
+
+    The scratch name is in scratch_left from its creation until it is
+    removed, so that a failed run can remove it if its own unlink failed.
+    """
     entry, scratch = job[0], f"{dest}/{job[1]}"
     decode = functools.partial(_check_entry, root, entry, True, chain, key)
     finding, _ = _write_new(scratch, lambda write: decode(write, threads))  # closed, not yet named
+    scratch_left.add(job[1])
     try:
         if finding is not None:
             raise IntegrityError(str(finding))
-        os.rename(scratch, f"{dest}/{entry.path}")
-    except BaseException:
+        # A link, unlike a rename, never replaces a name that appeared meanwhile.
+        os.link(scratch, f"{dest}/{entry.path}")
+    finally:
         os.unlink(scratch)
-        raise
+        scratch_left.discard(job[1])
     return entry.plain_size
 
 
@@ -581,15 +587,17 @@ def unpack(
     """Restore the original tree, proving every file before it gets its name.
 
     Each payload is read once and decoded into a scratch file beside its
-    final name; the rename happens only after the payload digest, the GCM
-    tag and the plain digest all match. Fails fast on the first bad payload:
-    no further file is started, its scratch file and any directory left
-    empty are removed, and files already restored are left in place so a
-    rerun after repair can be compared against them. A symlink in a
-    payload's place is a missing payload, never followed. Unless `workers`
-    is 1, a payload of payload.CHUNK_BYTES (256 KiB) and up is restored on a
-    pool thread, and a deflate payload that size is inflated by the thread
-    reading it while its plain bytes are hashed and written on another.
+    final name, which it gets as a hard link only after the payload digest,
+    the GCM tag and the plain digest all match. A link never replaces a
+    name: one already there fails the run with FileExistsError and stays.
+    Fails fast on the first bad payload: no further file is started, its
+    scratch file and any directory left empty are removed, and files
+    already restored are left in place so a rerun after repair can be
+    compared against them. A symlink in a payload's place is a missing
+    payload, never followed. Unless `workers` is 1, a payload of
+    payload.CHUNK_BYTES (256 KiB) and up is restored on a pool thread, and
+    a deflate payload that size is inflated by the thread reading it while
+    its plain bytes are hashed and written on another.
     """
     brick_dir = Path(brick_dir)
     dest_dir = Path(dest_dir)
@@ -600,7 +608,10 @@ def unpack(
     key = _resolve_key(chain, passphrase, manifest.kdf)
     directories = _directories(entry.path for entry in manifest.entries)
     jobs = list(zip(manifest.entries, _scratch_names(manifest.entries, directories)))
-    restore = functools.partial(_restore, str(brick_dir), str(dest_dir), chain, key, thread_count)
-    with _new_tree(dest_dir, directories):
+    scratch_left: set[str] = set()
+    restore = functools.partial(
+        _restore, str(brick_dir), str(dest_dir), chain, key, thread_count, scratch_left
+    )
+    with _new_tree(dest_dir, directories, scratch_left):
         written = _run_entries(jobs, lambda job: job[0].payload_size, restore, thread_count)
     return UnpackResult(dest_dir=dest_dir, file_count=len(written), bytes_written=sum(written))

@@ -160,7 +160,9 @@ def _cmd_unpack(args: argparse.Namespace) -> int:
 def _cmd_bench_io(args: argparse.Namespace) -> int:
     pattern = _PATTERN_ALIASES[args.pattern]
     defaults = _SEQ_DEFAULTS if pattern == io_bench.PATTERN_SEQUENTIAL else _RAND_DEFAULTS
-    block = parse_bench_size(args.block) if args.block else defaults["block"]
+    # A striped run issues one IO per stripe chunk, so its unit is also its block.
+    block_text = args.block or args.stripe_unit
+    block = parse_bench_size(block_text) if block_text else defaults["block"]
     depth = args.depth if args.depth is not None else defaults["depth"]
     if args.passes is not None and args.duration is not None:
         raise ConfigError("--passes and --duration are mutually exclusive")
@@ -333,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_io.add_argument("--seed", type=int, default=0, help="offset/pattern seed")
     bench_io.add_argument(
         "--stripe-unit", metavar="SIZE",
-        help="stripe the logical stream over the targets RAID0-style",
+        help="stripe the logical stream over the targets RAID0-style;"
+        " also the IO size, which --block may repeat but not change",
     )
     bench_io.add_argument(
         "--no-direct", action="store_true",

@@ -335,70 +335,72 @@ class _WorkStream:
 
 
 def _open_targets(spec: BenchSpec, size: int) -> tuple[list[int], bool]:
-    """Open every target once, preferring cache-bypassing opens when asked.
+    """Open every target once, then turn on the cache bypass for all of them when asked.
 
-    Falls back to buffered IO for the whole run if any target refuses the
-    bypass flag (tmpfs and many network filesystems do). Refuses a file
-    named twice, also through another path or a symlink, before it sizes
-    any target: the run would count the file's bytes twice, and a verified
-    read would check them against two targets' patterns. A write run sizes
-    each target through the descriptor it writes with; a read run checks
-    each size on the descriptor it reads. If the run is refused or an open
-    fails, a write run removes the targets it created; a target that
-    existed before the run is never removed.
+    If any descriptor refuses the bypass flag (tmpfs and many network
+    filesystems do), it is turned off again on every one and the whole run
+    is buffered. Refuses a file named twice, also through another path or a
+    symlink, before it sizes any target: the run would count the file's
+    bytes twice, and a verified read would check them against two targets'
+    patterns. A write run sizes each target through the descriptor it
+    writes with; a read run checks each size on the descriptor it reads. If
+    the run is refused or an open fails, a write run removes the targets it
+    created; a target that existed before the run is never removed.
     """
     flags = os.O_RDONLY if spec.op == OP_READ else os.O_WRONLY | os.O_CREAT
-    bypass = spec.cache_bypass and hasattr(os, "O_DIRECT")
-    created: set[Path] = set()  # kept across the buffered retry
-
-    def open_target(target: Path) -> int:
-        mode = flags | (os.O_DIRECT if bypass else 0)
-        if spec.op == OP_WRITE:
-            try:
-                fd = os.open(target, mode | os.O_EXCL, 0o644)
-            except FileExistsError:
-                pass
-            except OSError:
-                if os.path.lexists(target):  # created, then the bypass was refused
-                    created.add(target)
-                raise
+    fds: list[int] = []
+    created: list[Path] = []
+    seen: dict[tuple[int, int], Path] = {}
+    try:
+        for target in spec.targets:
+            if spec.op == OP_WRITE:
+                try:
+                    fds.append(os.open(target, flags | os.O_EXCL, 0o644))
+                    created.append(target)
+                except FileExistsError:
+                    fds.append(os.open(target, flags, 0o644))
             else:
-                created.add(target)
-                return fd
-        return os.open(target, mode, 0o644)
-
-    while True:
-        fds: list[int] = []
-        seen: dict[tuple[int, int], Path] = {}
-        try:
-            for target in spec.targets:
-                fds.append(open_target(target))
-                info = os.fstat(fds[-1])
-                if (first := seen.get((info.st_dev, info.st_ino))) is not None:
-                    raise ConfigError(f"targets {first} and {target} are the same file")
-                seen[info.st_dev, info.st_ino] = target
-                if spec.op == OP_READ and info.st_size < size:
-                    raise ConfigError(
-                        f"{target} is {info.st_size} bytes but the run needs {size};"
-                        " run a write pass first"
-                    )
-            if spec.op == OP_WRITE:  # size only once every target is known to be distinct
-                for fd in fds:
-                    os.ftruncate(fd, size)
-                    if hasattr(os, "posix_fallocate"):
-                        try:
-                            os.posix_fallocate(fd, 0, size)
-                        except OSError:
-                            pass  # allocation is an optimization, not a contract
-            return fds, bypass
-        except BaseException as exc:
+                fds.append(os.open(target, flags))
+            info = os.fstat(fds[-1])
+            if (first := seen.get((info.st_dev, info.st_ino))) is not None:
+                raise ConfigError(f"targets {first} and {target} are the same file")
+            seen[info.st_dev, info.st_ino] = target
+            if spec.op == OP_READ and info.st_size < size:
+                raise ConfigError(
+                    f"{target} is {info.st_size} bytes but the run needs {size};"
+                    " run a write pass first"
+                )
+        if spec.op == OP_WRITE:  # size only once every target is known to be distinct
             for fd in fds:
-                os.close(fd)
-            if not (bypass and isinstance(exc, OSError)):
-                for target in created:
-                    target.unlink(missing_ok=True)
-                raise
-        bypass = False  # a target refused the bypass: retry them all buffered
+                os.ftruncate(fd, size)
+                if hasattr(os, "posix_fallocate"):
+                    try:
+                        os.posix_fallocate(fd, 0, size)
+                    except OSError:
+                        pass  # allocation is an optimization, not a contract
+        return fds, spec.cache_bypass and _bypass_cache(fds)
+    except BaseException:
+        for fd in fds:
+            os.close(fd)
+        for target in created:
+            target.unlink(missing_ok=True)
+        raise
+
+
+def _bypass_cache(fds: list[int]) -> bool:
+    """Set O_DIRECT on every descriptor, or on none if any refuses it; True if all took it."""
+    if not hasattr(os, "O_DIRECT"):
+        return False
+    import fcntl  # here, not at the top: `import brickkit` never pays for it
+
+    for fd in fds:
+        try:
+            fcntl.fcntl(fd, fcntl.F_SETFL, fcntl.fcntl(fd, fcntl.F_GETFL) | os.O_DIRECT)
+        except OSError:
+            for each in fds:
+                fcntl.fcntl(each, fcntl.F_SETFL, fcntl.fcntl(each, fcntl.F_GETFL) & ~os.O_DIRECT)
+            return False
+    return True
 
 
 def _worker(

@@ -49,6 +49,11 @@ DEFAULT_KDF_ITERATIONS = 210_000
 MAX_KDF_ITERATIONS = 10_000_000
 SALT_BYTES = 16
 
+# The header keys, in the order serialize_manifest writes them and parse_manifest reads
+# them; the kdf keys follow the codec line only when the chain encrypts.
+_HEADER_KEYS = ("dataset", "created", "codec")
+_KDF_KEYS = ("kdf", "iterations", "salt")
+
 _HEX_DIGEST_RE = re.compile(r"[0-9a-f]{64}")
 _DECIMAL_RE = re.compile(r"0|[1-9][0-9]*")
 # Printable ASCII without '%': a path made only of these encodes to itself.
@@ -249,22 +254,16 @@ def sorted_entries(entries: list[ChunkEntry]) -> tuple[ChunkEntry, ...]:
 
 def serialize_manifest(manifest: Manifest) -> bytes:
     """Serialize to bytes; the entries section is deterministic per tree."""
-    lines = [
-        f"{MANIFEST_FILENAME} v{manifest.format_version}\n",
-        f"dataset: {manifest.dataset_name}\n",
-        f"created: {manifest.created_at}\n",
-        f"codec: {','.join(manifest.codec_chain)}\n",
-    ]
+    keys = _HEADER_KEYS
+    values = [manifest.dataset_name, manifest.created_at, ",".join(manifest.codec_chain)]
     if manifest.kdf is not None:
-        lines += [
-            f"kdf: {manifest.kdf.algorithm}\n",
-            f"iterations: {manifest.kdf.iterations}\n",
-            f"salt: {manifest.kdf.salt.hex()}\n",
-        ]
-    lines.append("\n")
+        keys += _KDF_KEYS
+        values += [manifest.kdf.algorithm, str(manifest.kdf.iterations), manifest.kdf.salt.hex()]
+    head = f"{MANIFEST_FILENAME} v{manifest.format_version}\n"
+    head += "".join(f"{key}: {value}\n" for key, value in zip(keys, values)) + "\n"
     entry_lines = b"".join(entry.line() for entry in manifest.entries)
     digest = hashlib.sha256(entry_lines).hexdigest()
-    return "".join(lines).encode("utf-8") + entry_lines + f"digest: {digest}\n".encode("ascii")
+    return head.encode("utf-8") + entry_lines + f"digest: {digest}\n".encode("ascii")
 
 
 def _fail(line_number: int, message: str) -> ManifestError:
@@ -276,6 +275,17 @@ def _decimal(text: str, what: str, line_number: int) -> int:
     if not _DECIMAL_RE.fullmatch(text):
         raise _fail(line_number, f"{what} {text!r} is not a canonical decimal")
     return int(text)
+
+
+def _misplaced(line: str, line_number: int, keys: tuple[str, ...], read: int) -> ManifestError:
+    """The error for a header line that is not the one serialize_manifest writes there."""
+    key = line.partition(": ")[0]
+    if key in keys[:read]:
+        return _fail(line_number, f"duplicate header {key!r}")
+    if key in _KDF_KEYS and read == len(keys):  # an encrypting chain lists them in keys[:read]
+        return _fail(line_number, "kdf headers present but the chain does not encrypt")
+    expected = f"the {keys[read]!r} header" if read < len(keys) else "a blank line"
+    return _fail(line_number, f"expected {expected}; headers go in the order {', '.join(keys)}")
 
 
 def _parse_entry(line: str, line_number: int) -> ChunkEntry:
@@ -312,6 +322,8 @@ def parse_manifest(data: bytes) -> Manifest:
             return raw_lines[index].decode("utf-8")
         except UnicodeDecodeError:
             raise _fail(index + 1, "not valid UTF-8") from None
+        except IndexError:  # only the header reads at a fixed index, which may be past the end
+            raise ManifestError("truncated: header never ends") from None
 
     first = text(0)
     if first != f"{MANIFEST_FILENAME} v{FORMAT_VERSION}":
@@ -321,50 +333,34 @@ def parse_manifest(data: bytes) -> Manifest:
             )
         raise _fail(1, f"not a {MANIFEST_FILENAME} file")
 
-    headers: dict[str, str] = {}
-    index = 1
-    while index < len(raw_lines):
-        line = text(index)
-        if line == "":
-            break
-        key, sep, value = line.partition(": ")
-        if not sep or key not in ("dataset", "created", "codec", "kdf", "iterations", "salt"):
-            raise _fail(index + 1, f"unrecognized header line {line!r}")
-        if key in headers:
-            raise _fail(index + 1, f"duplicate header {key!r}")
-        headers[key] = value
-        index += 1
-    else:
-        raise ManifestError("truncated: header never ends")
-
-    for required in ("dataset", "created", "codec"):
-        if required not in headers:
-            raise _fail(index + 1, f"missing {required!r} header")
-    try:
-        chain = validate_chain(tuple(headers["codec"].split(",")))
-    except ValueError as exc:
-        raise _fail(index + 1, str(exc)) from None
+    # Header line k holds the k-th key; the codec line decides whether the kdf keys follow.
+    keys, values = _HEADER_KEYS, []
+    while len(values) < len(keys):
+        key, line = keys[len(values)], text(len(values) + 1)
+        if not line.startswith(f"{key}: "):
+            raise _misplaced(line, len(values) + 2, keys, len(values))
+        values.append(line[len(key) + 2 :])
+        if key == "codec":
+            try:
+                chain = validate_chain(tuple(values[-1].split(",")))
+            except ValueError as exc:
+                raise _fail(len(values) + 1, str(exc)) from None
+            if is_encrypted(chain):
+                keys += _KDF_KEYS
+    index = len(keys) + 1  # the blank line that ends the header
+    if line := text(index):
+        raise _misplaced(line, index + 1, keys, len(values))
 
     kdf = None
     if is_encrypted(chain):
-        for required in ("kdf", "iterations", "salt"):
-            if required not in headers:
-                raise _fail(index + 1, f"encrypted chain requires the {required!r} header")
+        algorithm, iterations, salt = values[len(_HEADER_KEYS) :]
         try:
-            kdf = KdfParams(
-                algorithm=headers["kdf"],
-                iterations=_decimal(headers["iterations"], "iterations", index + 1),
-                salt=bytes.fromhex(headers["salt"]),
-            )
+            count = _decimal(iterations, "iterations", index + 1)
+            kdf = KdfParams(algorithm=algorithm, iterations=count, salt=bytes.fromhex(salt))
         except ValueError as exc:
             raise _fail(index + 1, f"bad kdf parameters: {exc}") from None
-        if kdf.salt.hex() != headers["salt"]:
+        if kdf.salt.hex() != salt:
             raise _fail(index + 1, "salt must be lowercase hex without spaces")
-    elif any(key in headers for key in ("kdf", "iterations", "salt")):
-        raise _fail(index + 1, "kdf headers present but the chain does not encrypt")
-    order = ["dataset", "created", "codec"] + (["kdf", "iterations", "salt"] if kdf else [])
-    if list(headers) != order:
-        raise _fail(index + 1, f"headers must appear in the order {', '.join(order)}")
 
     index += 1  # past the blank line
     first_entry = index
@@ -406,8 +402,8 @@ def parse_manifest(data: bytes) -> Manifest:
 
     try:
         return Manifest(
-            dataset_name=headers["dataset"],
-            created_at=headers["created"],
+            dataset_name=values[0],
+            created_at=values[1],
             codec_chain=chain,
             entries=tuple(entries),
             kdf=kdf,

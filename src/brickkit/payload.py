@@ -395,18 +395,19 @@ class _Inflate:
 class _Stage:
     """The decode writer: a thread of its own, fed pieces through a one-piece hand-off.
 
-    The thread starts when the stage is built; close() ends it. work() gets
-    each piece in order. Once it raises, the stage keeps taking pieces and
-    drops them, so the thread feeding it never blocks; `failure` holds the
-    exception, and put() raises it to tell that thread to stop.
+    The thread, brick-write, starts when the stage is built; close() ends
+    it. work() gets each piece in order. Once it raises, the stage keeps
+    taking pieces and drops them, so the thread feeding it never blocks;
+    `failure` holds the exception, and put() raises it to tell that thread
+    to stop.
     """
 
-    def __init__(self, name: str, work: Callable[[bytes], object]) -> None:
+    def __init__(self, work: Callable[[bytes], object]) -> None:
         self.failure: BaseException | None = None
         self._work = work
         self._pieces: queue.Queue[bytes | None] = queue.Queue(maxsize=1)
         # A daemon, so that an interrupt during close() cannot keep the process alive.
-        self._thread = threading.Thread(target=self._run, name=name, daemon=True)
+        self._thread = threading.Thread(target=self._run, name="brick-write", daemon=True)
         self._thread.start()
 
     def _run(self) -> None:
@@ -501,7 +502,7 @@ def decode_file(
         stage = None
         try:
             if CODEC_DEFLATE in chain and threads > 1 and size >= CHUNK_BYTES:
-                stage = _Stage("brick-write", out.feed)
+                stage = _Stage(out.feed)
                 # This thread counts the plain bytes and stops at the limit.
                 plain = _Sink(stage.put, hashed=False, limit=plain_limit)
             inflate = _Inflate(plain) if CODEC_DEFLATE in chain else None

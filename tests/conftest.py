@@ -70,7 +70,10 @@ PLANTED = {
     "brick-subdirectory": "sub",
     "destination-subdirectory": "sub",
     "scratch": ".brick-0.part",  # entry 0, a.txt, restores through it
+    "destination-file": "a.txt",  # the final name entry 0 is restored to
 }
+# The cases that plant a regular file holding b"planted"; the others plant a symlink.
+PLANTED_FILES = ("scratch", "destination-file")
 
 
 class Planted(NamedTuple):
@@ -85,9 +88,9 @@ def plant_after_the_check(tmp_path: Path, monkeypatch, case: str) -> Planted:
     """Set up `case`: its name is planted when pack or unpack resolves its key.
 
     Both resolve it after checking that the output directory is empty and
-    before they create anything in it. The scratch name gets a regular file;
-    every other name a symlink into `outside`, whose a.txt and b.bin share
-    names with the tree's files.
+    before they create anything in it. The PLANTED_FILES cases get a
+    regular file; every other name a symlink into `outside`, whose a.txt and
+    b.bin share names with the tree's files.
     """
     source = tmp_path / "src"
     (source / "sub").mkdir(parents=True)
@@ -97,7 +100,7 @@ def plant_after_the_check(tmp_path: Path, monkeypatch, case: str) -> Planted:
     outside.mkdir()
     (outside / "a.txt").write_bytes(b"outside a")
     (outside / "b.bin").write_bytes(b"outside b")
-    if case in ("destination-subdirectory", "scratch"):
+    if case in ("destination-subdirectory", *PLANTED_FILES):
         brick_mod.pack(source, tmp_path / "brick")
         planted = Planted("unpack", tmp_path / "brick", tmp_path / "out", PLANTED[case], outside)
     else:
@@ -107,7 +110,7 @@ def plant_after_the_check(tmp_path: Path, monkeypatch, case: str) -> Planted:
     resolve = brick_mod._resolve_key
 
     def plant_then_resolve(*args):
-        if case == "scratch":
+        if case in PLANTED_FILES:
             at.write_bytes(b"planted")
         else:
             at.symlink_to(outside if at.name == "sub" else outside / "a.txt")

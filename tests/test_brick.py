@@ -32,6 +32,7 @@ from brickkit.manifest import MANIFEST_FILENAME, MAX_KDF_ITERATIONS, serialize_m
 from conftest import (
     FAST_KDF_ITERATIONS,
     PLANTED,
+    PLANTED_FILES,
     cap_reads,
     plant_after_the_check,
     read_tree,
@@ -502,7 +503,7 @@ def test_verify_reports_a_planted_deep_directory(tmp_path):
 
 # ---------- a name that appears meanwhile is refused, never written through ----------
 
-@pytest.mark.parametrize("case", [case for case in PLANTED if case != "scratch"])
+@pytest.mark.parametrize("case", [case for case in PLANTED if case not in PLANTED_FILES])
 def test_a_link_planted_after_the_check_is_refused(tmp_path, monkeypatch, case):
     planted = plant_after_the_check(tmp_path, monkeypatch, case)
     before = read_tree(planted.outside)
@@ -515,10 +516,12 @@ def test_a_link_planted_after_the_check_is_refused(tmp_path, monkeypatch, case):
     assert (planted.made / planted.name).is_symlink()
 
 
-def test_a_file_planted_at_a_scratch_name_fails_unpack_and_stays(tmp_path, monkeypatch):
-    planted = plant_after_the_check(tmp_path, monkeypatch, "scratch")
+@pytest.mark.parametrize("case", PLANTED_FILES)
+def test_a_file_planted_after_the_check_fails_unpack_and_stays(tmp_path, monkeypatch, case):
+    planted = plant_after_the_check(tmp_path, monkeypatch, case)
     with pytest.raises(FileExistsError):
         unpack(planted.given, planted.made)
+    # No scratch file is left, and the sub/ that unpack made is removed again.
     assert os.listdir(planted.made) == [planted.name]
     assert (planted.made / planted.name).read_bytes() == b"planted"
 
@@ -530,6 +533,7 @@ EXPECTED_OPENS_AND_CREATES = [
     ("_new_tree", ".mkdir"),
     ("_new_tree", "os.mkdir"),
     ("_open_regular", "os.open"),
+    ("_restore", "os.link"),  # the final name: a link never replaces one that is there
     ("_write_new", "os.open"),
     ("load_manifest.parse", "open"),
     ("pack.store", "os.open"),  # the source file: a missing one is an IO error, not a finding
@@ -548,7 +552,9 @@ def opens_and_creates(source: str) -> list[tuple[str, str]]:
                 found.append((".".join(scope), "open"))
             elif isinstance(function, ast.Attribute):
                 on_os = isinstance(function.value, ast.Name) and function.value.id == "os"
-                if on_os and function.attr in ("open", "mkdir", "makedirs", "fdopen"):
+                if on_os and function.attr in (
+                    "open", "mkdir", "makedirs", "fdopen", "link", "rename", "replace"
+                ):
                     found.append((".".join(scope), f"os.{function.attr}"))
                 elif not on_os and function.attr in (
                     "mkdir", "write_bytes", "write_text", "open", "touch"
@@ -575,8 +581,11 @@ def f(path):
         open(path)
         path.parent.mkdir()
     os.mkdir(path)
+    os.link(path, path)
+    os.rename(path, path)
+    os.replace(path, path)
 """
     assert opens_and_creates(source) == [
-        ("f", ".write_bytes"), ("f", "os.mkdir"), ("f", "os.open"),
-        ("f.g", ".mkdir"), ("f.g", "open"),
+        ("f", ".write_bytes"), ("f", "os.link"), ("f", "os.mkdir"), ("f", "os.open"),
+        ("f", "os.rename"), ("f", "os.replace"), ("f.g", ".mkdir"), ("f.g", "open"),
     ]

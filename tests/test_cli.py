@@ -476,6 +476,19 @@ def test_bench_io_stripe_through_cli(tmp_path, capsys):
     assert sizes == {4 * 64 * 1024}  # ceil(12/3) = 4 chunks per member
 
 
+def test_bench_io_stripe_unit_sets_the_block_of_a_random_run(tmp_path, capsys):
+    targets = ["--target", str(tmp_path / "m0.bin"), "--target", str(tmp_path / "m1.bin")]
+    base = ["bench-io", "--pattern", "rand", *targets, "--size", "256K", "--no-direct"]
+    assert main([*base, "--op", "write", "--stripe-unit", "16K"]) == 0
+    assert "random write, block 16384, depth 1" in capsys.readouterr().out
+    assert main([*base, "--op", "read", "--verify", "--stripe-unit", "16K"]) == 0
+    assert "random read, block 16384" in capsys.readouterr().out
+    # An explicit --block must still equal the unit.
+    assert main([*base, "--op", "write", "--stripe-unit", "16K", "--block", "8K"]) == 2
+    err = capsys.readouterr().err
+    assert one_line_error(err) and "must equal stripe_unit_bytes 16384" in err
+
+
 @pytest.mark.parametrize(
     "layout", [[], ["--block", "64K", "--stripe-unit", "64K"]], ids=["plain", "striped"]
 )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import fcntl
 import hashlib
 import itertools
 import math
@@ -514,15 +515,20 @@ def test_empty_reservoir_is_all_zero():
 
 # ---------- opening targets ----------
 
+def refuse_the_bypass(monkeypatch) -> None:
+    """Make setting O_DIRECT on a descriptor fail, as tmpfs and many network filesystems do."""
+    real_fcntl = fcntl.fcntl
+
+    def no_direct(fd, command, arg=0):
+        if command == fcntl.F_SETFL and arg & os.O_DIRECT:
+            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+        return real_fcntl(fd, command, arg)
+
+    monkeypatch.setattr(fcntl, "fcntl", no_direct)
+
+
 def test_a_target_that_refuses_the_bypass_runs_buffered(tmp_path, monkeypatch):
-    real_open = os.open
-
-    def no_direct(path, flags, *args, **kwargs):
-        if flags & getattr(os, "O_DIRECT", 0):
-            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL), str(path))
-        return real_open(path, flags, *args, **kwargs)
-
-    monkeypatch.setattr(os, "open", no_direct)
+    refuse_the_bypass(monkeypatch)
     write = run_io_bench(spec_for(tmp_path, cache_bypass=True, rng_seed=7))
     read = run_io_bench(
         spec_for(tmp_path, op="read", verify_pattern=True, cache_bypass=True, rng_seed=7)
@@ -541,17 +547,8 @@ def test_a_write_that_fails_at_its_second_target_removes_only_what_it_created(
     first = tmp_path / "a.bin"
     if existed:
         first.write_bytes(b"before the run")
-    if bypass:  # as some filesystems do: the file is made, then the open refuses O_DIRECT
-        real_open = os.open
-
-        def create_then_refuse(path, flags, *args):
-            fd = real_open(path, flags & ~os.O_DIRECT, *args)
-            if flags & os.O_DIRECT:
-                os.close(fd)
-                raise OSError(errno.EINVAL, os.strerror(errno.EINVAL), str(path))
-            return fd
-
-        monkeypatch.setattr(os, "open", create_then_refuse)
+    if bypass:
+        refuse_the_bypass(monkeypatch)
     targets = (first, tmp_path / "missing" / "b.bin")
     with pytest.raises(FileNotFoundError):
         run_io_bench(spec_for(tmp_path, targets=targets, target_bytes=MB, cache_bypass=bypass))
@@ -562,10 +559,8 @@ def test_a_write_that_fails_at_its_second_target_removes_only_what_it_created(
 
 
 def test_a_plain_run_opens_each_target_once_and_stats_none(tmp_path, monkeypatch):
-    targets = (tmp_path / "a.bin", tmp_path / "b.bin", tmp_path / "c.bin")
-    names = {str(target) for target in targets}
     opened, statted = [], []
-    real_open, real_stat = os.open, os.stat
+    real_open, real_stat, real_fcntl = os.open, os.stat, fcntl.fcntl
 
     def counting_open(path, *args, **kwargs):
         opened.append(str(path))
@@ -577,8 +572,20 @@ def test_a_plain_run_opens_each_target_once_and_stats_none(tmp_path, monkeypatch
 
     monkeypatch.setattr(os, "open", counting_open)
     monkeypatch.setattr(os, "stat", counting_stat)
-    for op in ("write", "read"):
-        opened.clear()
-        run_io_bench(spec_for(tmp_path, op=op, targets=targets, target_bytes=MB))
-        assert sorted(opened) == sorted(names)
-        assert names.isdisjoint(statted)
+    for bypass in ("not asked", "granted", "refused"):
+        # New targets for each case: a write opens an existing target a second time, without O_EXCL.
+        targets = tuple(tmp_path / bypass / name for name in ("a.bin", "b.bin", "c.bin"))
+        targets[0].parent.mkdir()
+        names = {str(target) for target in targets}
+        if bypass == "granted":  # whatever tmp_path's filesystem allows, the flag is taken
+            monkeypatch.setattr(fcntl, "fcntl", lambda fd, command, arg=0: 0)
+        if bypass == "refused":
+            monkeypatch.setattr(fcntl, "fcntl", real_fcntl)
+            refuse_the_bypass(monkeypatch)
+        for op in ("write", "read"):
+            opened.clear()
+            asked = bypass != "not asked"
+            spec = spec_for(tmp_path, op=op, targets=targets, target_bytes=MB, cache_bypass=asked)
+            assert run_io_bench(spec).cache_bypass == (bypass == "granted")
+            assert sorted(opened) == sorted(names)
+            assert names.isdisjoint(statted)
