@@ -388,8 +388,10 @@ def load_manifest(brick_dir: Path) -> Manifest:
     """Parse brick_dir's manifest; a symlink, FIFO or directory in its place is no manifest."""
 
     def parse(fd: int, _: os.stat_result) -> Manifest:
-        with open(fd, "rb", closefd=False) as manifest:
-            return parse_manifest(manifest.read())
+        parts = []  # read in pieces of CHUNK_BYTES at most, as a payload is
+        while part := os.read(fd, payload_mod.CHUNK_BYTES):
+            parts.append(part)
+        return parse_manifest(b"".join(parts))
 
     manifest = _open_regular(f"{brick_dir}/{MANIFEST_FILENAME}", parse)
     if manifest is None:

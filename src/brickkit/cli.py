@@ -16,34 +16,25 @@ history and process listings.
 from __future__ import annotations
 
 import argparse
-import fcntl
 import os
 import sys
 from pathlib import Path
 
-from . import brick as brick_mod
-from . import io_bench, net_bench
-from .catalog import DEFAULT_LINKS, DEFAULT_MEDIA, load_links, load_media
-from .cost_model import apply_compression_factor, recommend
 from .errors import EXIT_INTEGRITY, EXIT_IO, EXIT_OK, BrickKitError, ConfigError
-from .manifest import DEFAULT_KDF_ITERATIONS
-from .tables import (
-    link_table,
-    media_anomaly_lines,
-    media_table,
-    notes_lines,
-    plan_table,
-)
-from .units import parse_bench_size, parse_data_size
+
+# Each command imports the modules it calls, so that one tool's command does
+# not load the other tools: the brick format alone pulls in `cryptography`.
 
 _SEQ_DEFAULTS = {"block": 64 * 1024, "depth": 2}   # classic sequential config
 _RAND_DEFAULTS = {"block": 8 * 1024, "depth": 1}   # classic random config
 
+# Values are io_bench.PATTERN_SEQUENTIAL and io_bench.PATTERN_RANDOM, written
+# out so that building the parser does not load the disk bench.
 _PATTERN_ALIASES = {
-    "seq": io_bench.PATTERN_SEQUENTIAL,
-    "sequential": io_bench.PATTERN_SEQUENTIAL,
-    "rand": io_bench.PATTERN_RANDOM,
-    "random": io_bench.PATTERN_RANDOM,
+    "seq": "sequential",
+    "sequential": "sequential",
+    "rand": "random",
+    "random": "random",
 }
 
 
@@ -57,6 +48,8 @@ def _passphrase_from_env(variable: str | None) -> str | None:
 
 
 def _load_catalogs(args: argparse.Namespace):
+    from .catalog import DEFAULT_LINKS, DEFAULT_MEDIA, load_links, load_media
+
     links = load_links(args.links) if args.links else list(DEFAULT_LINKS)
     media = load_media(args.media) if args.media else list(DEFAULT_MEDIA)
     return links, media
@@ -69,18 +62,26 @@ def _append_csv(path: str, header: str, row: str) -> None:
     loopback ``bench-net`` finish together), so the emptiness check and the
     append happen under an exclusive lock, and the line(s) go out in one write.
     """
+    import fcntl
+
     fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)  # released when fd is closed
         text = row + "\n"
         if os.fstat(fd).st_size == 0:
             text = header + "\n" + text
-        brick_mod._write_all(fd, text.encode("utf-8"))
+        view = memoryview(text.encode("utf-8"))
+        while view:  # a short write is not an error
+            view = view[os.write(fd, view) :]
     finally:
         os.close(fd)
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    from .cost_model import apply_compression_factor, recommend
+    from .tables import plan_table
+    from .units import parse_data_size
+
     size = parse_data_size(args.size)
     links, media = _load_catalogs(args)
     if args.compression is not None:
@@ -91,6 +92,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
+    from .tables import link_table, media_anomaly_lines, media_table, notes_lines
+    from .units import parse_data_size
+
     campaign = parse_data_size(args.campaign)
     links, media = _load_catalogs(args)
     print(link_table(links))
@@ -105,8 +109,11 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
+    from .brick import pack
+    from .manifest import DEFAULT_KDF_ITERATIONS
+
     chain = tuple(part.strip() for part in args.codec.split(","))
-    result = brick_mod.pack(
+    result = pack(
         source_dir=Path(args.source),
         brick_dir=Path(args.brick),
         dataset_name=args.dataset,
@@ -126,7 +133,9 @@ def _cmd_pack(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = brick_mod.verify(
+    from .brick import verify
+
+    report = verify(
         Path(args.brick),
         deep=args.deep,
         passphrase=_passphrase_from_env(args.passphrase_env),
@@ -144,7 +153,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_unpack(args: argparse.Namespace) -> int:
-    result = brick_mod.unpack(
+    from .brick import unpack
+
+    result = unpack(
         Path(args.brick),
         Path(args.dest),
         passphrase=_passphrase_from_env(args.passphrase_env),
@@ -158,6 +169,9 @@ def _cmd_unpack(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_io(args: argparse.Namespace) -> int:
+    from . import io_bench
+    from .units import parse_bench_size
+
     pattern = _PATTERN_ALIASES[args.pattern]
     defaults = _SEQ_DEFAULTS if pattern == io_bench.PATTERN_SEQUENTIAL else _RAND_DEFAULTS
     # A striped run issues one IO per stripe chunk, so its unit is also its block.
@@ -196,6 +210,9 @@ def _cmd_bench_io(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_net(args: argparse.Namespace) -> int:
+    from . import net_bench
+    from .units import parse_bench_size
+
     spec = net_bench.NetSpec(
         role=args.role,
         host=args.host,
@@ -351,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_io.set_defaults(func=_cmd_bench_io)
 
     bench_net = sub.add_parser("bench-net", help="TCP stream benchmark")
-    bench_net.add_argument("role", choices=(net_bench.ROLE_SEND, net_bench.ROLE_RECEIVE))
+    bench_net.add_argument("role", choices=("send", "receive"))  # net_bench.ROLE_*
     bench_net.add_argument("--host", default="127.0.0.1")
     bench_net.add_argument("--port", type=int, required=True)
     bench_net.add_argument(

@@ -20,6 +20,7 @@ All sizes are plain bytes. Reported mbps is 10^6 bytes per second.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import itertools
 import math
@@ -335,7 +336,12 @@ class _WorkStream:
 
 
 def _open_targets(spec: BenchSpec, size: int) -> tuple[list[int], bool]:
-    """Open every target once, then turn on the cache bypass for all of them when asked.
+    """Open every target, then turn on the cache bypass for all of them when asked.
+
+    A read run opens each target once, and so does a write run for a target
+    it creates. A write run opens a target that already exists twice: the
+    O_EXCL open fails first, and that failure is how the run knows the
+    target is not its own to remove.
 
     If any descriptor refuses the bypass flag (tmpfs and many network
     filesystems do), it is turned off again on every one and the whole run
@@ -391,8 +397,6 @@ def _bypass_cache(fds: list[int]) -> bool:
     """Set O_DIRECT on every descriptor, or on none if any refuses it; True if all took it."""
     if not hasattr(os, "O_DIRECT"):
         return False
-    import fcntl  # here, not at the top: `import brickkit` never pays for it
-
     for fd in fds:
         try:
             fcntl.fcntl(fd, fcntl.F_SETFL, fcntl.fcntl(fd, fcntl.F_GETFL) | os.O_DIRECT)

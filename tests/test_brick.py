@@ -535,7 +535,6 @@ EXPECTED_OPENS_AND_CREATES = [
     ("_open_regular", "os.open"),
     ("_restore", "os.link"),  # the final name: a link never replaces one that is there
     ("_write_new", "os.open"),
-    ("load_manifest.parse", "open"),
     ("pack.store", "os.open"),  # the source file: a missing one is an IO error, not a finding
 ]
 

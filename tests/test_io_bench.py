@@ -573,19 +573,20 @@ def test_a_plain_run_opens_each_target_once_and_stats_none(tmp_path, monkeypatch
     monkeypatch.setattr(os, "open", counting_open)
     monkeypatch.setattr(os, "stat", counting_stat)
     for bypass in ("not asked", "granted", "refused"):
-        # New targets for each case: a write opens an existing target a second time, without O_EXCL.
+        # New targets for each case, written, read, then written and read again as existing
+        # targets: a write opens an existing target twice, first with O_EXCL, which fails.
         targets = tuple(tmp_path / bypass / name for name in ("a.bin", "b.bin", "c.bin"))
         targets[0].parent.mkdir()
-        names = {str(target) for target in targets}
+        names = [str(target) for target in targets]
         if bypass == "granted":  # whatever tmp_path's filesystem allows, the flag is taken
             monkeypatch.setattr(fcntl, "fcntl", lambda fd, command, arg=0: 0)
         if bypass == "refused":
             monkeypatch.setattr(fcntl, "fcntl", real_fcntl)
             refuse_the_bypass(monkeypatch)
-        for op in ("write", "read"):
+        for op, opens_per_target in (("write", 1), ("read", 1), ("write", 2), ("read", 1)):
             opened.clear()
             asked = bypass != "not asked"
             spec = spec_for(tmp_path, op=op, targets=targets, target_bytes=MB, cache_bypass=asked)
             assert run_io_bench(spec).cache_bypass == (bypass == "granted")
-            assert sorted(opened) == sorted(names)
-            assert names.isdisjoint(statted)
+            assert sorted(opened) == sorted(names * opens_per_target)
+            assert set(names).isdisjoint(statted)

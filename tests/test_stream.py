@@ -1414,6 +1414,7 @@ def test_each_payload_byte_is_read_once(tmp_path, monkeypatch, chunk, chain):
         (source / f"f{size:06d}").write_bytes(body(size, size))
     brick_dir = tmp_path / "brick"
     payload_bytes = do_pack(source, brick_dir, chain).payload_bytes
+    manifest_bytes = (brick_dir / MANIFEST_FILENAME).stat().st_size  # load_manifest reads it too
     passphrase = passphrase_for(chain)
     real_read = os.read
     asked, got = [], []
@@ -1433,7 +1434,7 @@ def test_each_payload_byte_is_read_once(tmp_path, monkeypatch, chunk, chain):
         asked.clear()
         got.clear()
         operation()
-        assert sum(got) == payload_bytes
+        assert sum(got) == manifest_bytes + payload_bytes
         assert max(asked) <= payload.CHUNK_BYTES
 
 
