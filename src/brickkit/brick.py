@@ -188,40 +188,59 @@ def _resolve_key(
 
 
 def _worker_count(workers: int | None) -> int:
-    """None means one thread per core, up to 8; anything else must be in [1, MAX_WORKERS]."""
+    """None means one thread per CPU this process may run on, up to 8.
+
+    Anything else must be in [1, MAX_WORKERS].
+    """
     if workers is None:
-        return max(1, min(8, os.cpu_count() or 1))
+        cores = (
+            len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        )
+        return max(1, min(8, cores or 1))
     if not 1 <= workers <= MAX_WORKERS:
         raise ConfigError(f"workers must be between 1 and {MAX_WORKERS}, got {workers}")
     return workers
 
 
 def _run_entries(
-    jobs: Sequence[Any], size: Callable[[Any], int], work: Callable[[Any], Any], workers: int
+    jobs: Sequence[Any], size: Callable[[Any], int], work: Callable[[Any, int], Any], workers: int
 ) -> list[Any]:
-    """Run work(job) for every job and return the results in job order.
+    """Run work(job, threads) for every job and return the results in job order.
 
     Pack, verify and unpack share this rule: a job whose file is under
     payload.CHUNK_BYTES (256 KiB) runs inline, where a hand-off costs more
     than the work; larger jobs go to a pool of `workers` threads, where
     hashing, zlib and file IO release the GIL. At most 2 * workers pooled
-    jobs are unfinished at once: when the window is full, this thread waits
-    for one to end and keeps only its result, so memory does not grow with
-    the number of large files. Once a job raises, no further job starts; a
-    pooled job's failure keeps its place and is raised in job order. This
-    pool spreads files, not the work within one: under deflate, pack also
-    hands the blocks of each file over payload.CHUNK_BYTES, inline or
-    pooled, to its block pool, so one large file uses every core, and a
-    deep check or unpack writes a pooled deflate file's plain bytes on a
-    thread of its own.
+    jobs are submitted and unfinished at once: when the window is full,
+    this thread waits for one to end and keeps only its result, so memory
+    does not grow with the number of large files. Once a job raises, no
+    further job starts; a pooled job's failure keeps its place and is
+    raised in job order.
+
+    `threads` is how many threads the job may use: 1 inline, and for a
+    pooled job an even share of the `workers` slots. The calling thread
+    takes one of them once the inline jobs add up to CHUNK_BYTES, since it
+    runs those beside the pool. A read given two or more threads starts
+    one helper (payload.decode_file), so for verify and unpack `workers` is
+    the run's whole thread budget: a lone large payload, or two under four
+    workers, is hashed, or under deflate written, beside its reader, and a
+    busy pool starts no helper. Pack's deflate blocks draw on a pool of
+    their own instead.
     """
     stop = threading.Event()
 
-    def run(job: Any) -> Any:
+    def pooled(job: Any) -> bool:
+        return workers > 1 and size(job) >= payload_mod.CHUNK_BYTES
+
+    inline_bytes = sum(size(job) for job in jobs if not pooled(job))
+    slots = workers - (inline_bytes >= payload_mod.CHUNK_BYTES)
+    share = max(1, slots // max(1, sum(map(pooled, jobs))))
+
+    def run(job: Any, threads: int) -> Any:
         if stop.is_set():
             return None
         try:
-            return work(job)
+            return work(job, threads)
         except BaseException:
             stop.set()
             raise
@@ -233,15 +252,15 @@ def _run_entries(
             for job in jobs:
                 if stop.is_set():
                     break
-                if workers == 1 or size(job) < payload_mod.CHUNK_BYTES:
-                    results.append(run(job))
+                if not pooled(job):
+                    results.append(run(job, 1))
                     continue
                 if len(unfinished) == 2 * workers:
                     for future in wait(unfinished, return_when=FIRST_COMPLETED).done:
                         index = unfinished.pop(future)
                         if future.exception() is None:  # a failure stays, to be raised in order
                             results[index] = future.result()
-                future = pool.submit(run, job)
+                future = pool.submit(run, job, share)
                 unfinished[future] = len(results)
                 results.append(future)
             return [r.result() if isinstance(r, Future) else r for r in results]
@@ -297,7 +316,8 @@ def pack(
     empty_dirs = tuple(sorted(set(all_directories) - set(directories)))
     made_files: list[str] = []  # the payloads written, removed again if pack fails
 
-    def store(item: tuple[str, str, int, tuple[int, int]]) -> ChunkEntry:
+    # The deflate threads come from `blocks`, not from the entry's share of the budget.
+    def store(item: tuple[str, str, int, tuple[int, int]], _threads: int) -> ChunkEntry:
         stored, real, _, identity = item
         try:
             # The tree may have changed since the walk: a FIFO in a file's place
@@ -427,9 +447,8 @@ def _check_entry(
     A symlink, FIFO or directory in the payload's place is a missing payload:
     the shipped brick would not hold those bytes. A deep check hands the
     decoded bytes to write() as they appear, each valid only until write()
-    returns; with threads > 1, a deflate payload of payload.CHUNK_BYTES and
-    up is inflated where it is read, and its plain bytes are hashed and
-    written on a thread of its own.
+    returns. `threads` is how many threads the read may use, as
+    payload.decode_file takes it.
     """
 
     def check(fd: int, info: os.stat_result) -> tuple[Finding | None, int]:
@@ -452,18 +471,23 @@ def verify(
 
     Each payload is read once, deep or not, and never through a symlink in
     its place. Unless `workers` is 1, a payload of payload.CHUNK_BYTES
-    (256 KiB) and up is checked on a pool thread, and a deep check of a
-    deflate payload that size inflates it where it is read and hashes the
-    plain bytes on a thread of its own.
+    (256 KiB) and up is checked on a pool thread. Such a payload gets a
+    helper thread only if its even share of `workers` is two threads or
+    more, where the calling thread takes one once the smaller payloads add
+    up to CHUNK_BYTES, so a busy pool starts none. The helper takes the
+    payload's SHA-256 in a shallow check, and hashes the plain bytes of a
+    deflate payload in a deep one, while the pool thread reads (and, deep,
+    decrypts and inflates) it.
     """
     brick_dir = Path(brick_dir)
     thread_count = _worker_count(workers)
     manifest = load_manifest(brick_dir)
     key = _resolve_key(manifest.codec_chain, passphrase, manifest.kdf) if deep else None
     root = str(brick_dir)
-    check = functools.partial(
-        _check_entry, root, deep=deep, chain=manifest.codec_chain, key=key, threads=thread_count
-    )
+
+    def check(entry: ChunkEntry, threads: int) -> tuple[Finding | None, int]:
+        return _check_entry(root, entry, deep, manifest.codec_chain, key, None, threads)
+
     results = _run_entries(manifest.entries, lambda e: e.payload_size, check, thread_count)
     findings = [finding for finding, _ in results if finding is not None]
     bytes_checked = sum(size for _, size in results)
@@ -560,8 +584,8 @@ def _write_new(path: str, produce: Callable[[Callable[[bytes], None]], Any]) -> 
 
 
 def _restore(
-    root: str, dest: str, chain: tuple[str, ...], key: bytes | None, threads: int,
-    scratch_left: set[str], job: tuple[ChunkEntry, str],
+    root: str, dest: str, chain: tuple[str, ...], key: bytes | None, scratch_left: set[str],
+    job: tuple[ChunkEntry, str], threads: int,
 ) -> int:
     """Decode one payload into its scratch file and give it its final name once it is proven.
 
@@ -597,9 +621,12 @@ def unpack(
     already restored are left in place so a rerun after repair can be
     compared against them. A symlink in a payload's place is a missing
     payload, never followed. Unless `workers` is 1, a payload of
-    payload.CHUNK_BYTES (256 KiB) and up is restored on a pool thread, and
-    a deflate payload that size is inflated by the thread reading it while
-    its plain bytes are hashed and written on another.
+    payload.CHUNK_BYTES (256 KiB) and up is restored on a pool thread. A
+    deflate payload that size gets a helper thread, which hashes and writes
+    its plain bytes while the pool thread reads, decrypts and inflates it,
+    only if its even share of `workers` is two threads or more, where the
+    calling thread takes one once the smaller payloads add up to
+    CHUNK_BYTES, so a busy pool starts none.
     """
     brick_dir = Path(brick_dir)
     dest_dir = Path(dest_dir)
@@ -611,9 +638,7 @@ def unpack(
     directories = _directories(entry.path for entry in manifest.entries)
     jobs = list(zip(manifest.entries, _scratch_names(manifest.entries, directories)))
     scratch_left: set[str] = set()
-    restore = functools.partial(
-        _restore, str(brick_dir), str(dest_dir), chain, key, thread_count, scratch_left
-    )
+    restore = functools.partial(_restore, str(brick_dir), str(dest_dir), chain, key, scratch_left)
     with _new_tree(dest_dir, directories, scratch_left):
         written = _run_entries(jobs, lambda job: job[0].payload_size, restore, thread_count)
     return UnpackResult(dest_dir=dest_dir, file_count=len(written), bytes_written=sum(written))

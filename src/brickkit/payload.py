@@ -29,10 +29,13 @@ with; a later probe's compressor is flushed itself, and the piece deflated
 again from a fresh one if it comes to that.
 
 A v1 stream cannot itself be inflated in parallel, so decode overlaps its
-stages instead, as pigz does when it decompresses. Given more than one
-thread, a deflate payload of at least CHUNK_BYTES has its plain bytes
-hashed and written on a thread of its own, while the calling thread reads,
-hashes, decrypts and inflates the payload. The two hand each other pieces
+stages instead, as pigz does when it decompresses. brick gives a read a
+second thread only if its even share of the `--workers` budget is two
+threads or more, and a payload of at least CHUNK_BYTES given one gets one
+helper on it, beside the calling thread that reads the payload. In a
+shallow read, the helper hashes the payload pieces the caller reads; in a
+deep read under deflate, it hashes and writes the plain bytes while the
+caller hashes, decrypts and inflates the payload. The two hand each other pieces
 through a one-piece hand-off, so memory stays flat here too. With one
 thread, every step runs on the calling thread, on the same pieces.
 Decryption writes every piece of a payload into one reused buffer. That is
@@ -68,9 +71,9 @@ DEFLATE_LEVEL = 6
 
 # The codec's one size. It caps every read, deflate block, inflate output,
 # decrypt buffer and hand-off, and a file of this size and up gets threads:
-# a pooled entry and, under deflate, a decode writer. Each deflate block in
-# flight holds its input and its output, so it also sets pack's memory per
-# thread.
+# a pooled entry and, in a pool with room for it, a decode helper. Each
+# deflate block in flight holds its input and its output, so it also sets
+# pack's memory per thread.
 CHUNK_BYTES = 256 << 10
 # Deflate's window: the primer of each block, and the pieces it is probed in.
 _DEFLATE_WINDOW = 32 << 10
@@ -393,21 +396,23 @@ class _Inflate:
 
 
 class _Stage:
-    """The decode writer: a thread of its own, fed pieces through a one-piece hand-off.
+    """A decode helper: a thread of its own, fed pieces through a one-piece hand-off.
 
-    The thread, brick-write, starts when the stage is built; close() ends
+    The thread, named `name`, starts when the stage is built; close() ends
     it. work() gets each piece in order. Once it raises, the stage keeps
     taking pieces and drops them, so the thread feeding it never blocks;
     `failure` holds the exception, and put() raises it to tell that thread
-    to stop.
+    to stop. decode_file builds one only for a read that was given a
+    second thread, which brick gives only if the read's even share of the
+    `--workers` budget is two threads or more.
     """
 
-    def __init__(self, work: Callable[[bytes], object]) -> None:
+    def __init__(self, work: Callable[[bytes], object], name: str) -> None:
         self.failure: BaseException | None = None
         self._work = work
         self._pieces: queue.Queue[bytes | None] = queue.Queue(maxsize=1)
         # A daemon, so that an interrupt during close() cannot keep the process alive.
-        self._thread = threading.Thread(target=self._run, name="brick-write", daemon=True)
+        self._thread = threading.Thread(target=self._run, name=name, daemon=True)
         self._thread.start()
 
     def _run(self) -> None:
@@ -480,29 +485,40 @@ def decode_file(
     reported ahead of a deflate error, because deflate saw unauthenticated
     bytes.
 
-    With threads > 1, a deflate payload of at least CHUNK_BYTES, one piece,
-    is decoded in two stages: this thread reads, hashes, decrypts and
-    inflates it (so the decrypt buffer stays on one thread), and one thread
-    hashes and writes the plain bytes. That
-    thread has ended before this returns or raises. An exception in it is
-    raised ahead of one here, since it comes from earlier in the stream.
-    The result is the same as with one thread.
+    `threads` is how many threads this read may use. With more than one, a
+    payload of at least CHUNK_BYTES, one piece, gets one helper thread. In
+    a shallow read (chain None) the helper, brick-hash, takes the SHA-256
+    of each piece this thread reads; os.read gives each piece fresh bytes,
+    so none is copied. In a deep read under deflate the helper,
+    brick-write, hashes and writes the plain bytes, while this thread
+    reads, hashes, decrypts and inflates (so the decrypt buffer stays on
+    one thread). A deep read of any other chain gets no helper. The helper
+    has ended before this returns or raises. An exception in it is raised
+    ahead of one here, since it comes from earlier in the stream. The
+    result is the same as with one thread.
     """
-    payload = _Sink()
-    plain = out = None
+    # `payload` counts the stored bytes and `digest` hashes them; on one
+    # thread they are the same sink.
+    payload = digest = _Sink()
+    plain = out = inflate = None
     error = None
-    if chain is not None:
-        encrypted = is_encrypted(chain)
-        if encrypted and key is None:
-            raise ValueError("codec chain encrypts but no key was derived")
-        # Under codec none the plaintext is the payload: one digest serves both.
-        # `out` hashes and writes the plain bytes, `plain` counts them; on
-        # one thread they are the same sink.
-        plain = out = _Sink(write, hashed=chain != (CODEC_NONE,), limit=plain_limit)
-        stage = None
-        try:
-            if CODEC_DEFLATE in chain and threads > 1 and size >= CHUNK_BYTES:
-                stage = _Stage(out.feed)
+    helped = threads > 1 and size >= CHUNK_BYTES
+    stage = None
+    try:
+        if chain is None:
+            if helped:
+                stage = _Stage(digest.hash.update, "brick-hash")
+                payload = _Sink(stage.put, hashed=False)
+        else:
+            encrypted = is_encrypted(chain)
+            if encrypted and key is None:
+                raise ValueError("codec chain encrypts but no key was derived")
+            # Under codec none the plaintext is the payload: one digest serves both.
+            # `out` hashes and writes the plain bytes, `plain` counts them; on
+            # one thread they are the same sink.
+            plain = out = _Sink(write, hashed=chain != (CODEC_NONE,), limit=plain_limit)
+            if CODEC_DEFLATE in chain and helped:
+                stage = _Stage(out.feed, "brick-write")
                 # This thread counts the plain bytes and stops at the limit.
                 plain = _Sink(stage.put, hashed=False, limit=plain_limit)
             inflate = _Inflate(plain) if CODEC_DEFLATE in chain else None
@@ -512,19 +528,19 @@ def decode_file(
             else:
                 for chunk in _read_chunks(fd, size, payload):
                     feed(chunk)
-        finally:
-            if stage is not None:
-                stage.close()
-                if stage.failure is not None:
-                    raise stage.failure
-        if inflate is not None:
-            inflate.finish()
-            error = error or inflate.error
-    for _ in _read_chunks(fd, size - payload.size, payload):
-        pass  # a shallow read, or the rest of a payload too short for nonce and tag
-    payload_sha256 = payload.hash.hexdigest()
+        for _ in _read_chunks(fd, size - payload.size, payload):
+            pass  # a shallow read, or the rest of a payload too short for nonce and tag
+    finally:
+        if stage is not None:
+            stage.close()
+            if stage.failure is not None:
+                raise stage.failure
+    payload_sha256 = digest.hash.hexdigest()
     if plain is None:
         return Decoded(payload.size, payload_sha256, 0, _SHA256_EMPTY, None, False)
+    if inflate is not None:
+        inflate.finish()
+        error = error or inflate.error
     if plain.overflow:
         plain_sha256 = _SHA256_EMPTY  # only a prefix was hashed, cut where a piece ended
     elif out.hash is not None:

@@ -1,4 +1,4 @@
-"""Fail the Nth IO call of pack, verify --deep and unpack, for every N.
+"""Fail the Nth IO call of pack, verify, verify --deep and unpack, for every N.
 
 After SQLite's I/O-error tests: each run must end with exit 0 or 3 and one
 error line, leave no descriptor or thread behind, and leave no name it
@@ -71,7 +71,9 @@ def make_tree(root: Path) -> dict[str, bytes]:
     """Four files in two directories.
 
     big.bin is noise, so that under deflate its payload, too, is over
-    256 KiB: it goes to a pool thread, and decoding it starts the writer.
+    256 KiB: it goes to a pool thread, and with two workers it is the one
+    entry there, so a shallow read hashes it on a helper and a deep read
+    writes it on one.
     """
     files = {
         "a.txt": b"alpha\n" * 50,
@@ -112,7 +114,8 @@ def test_every_failed_io_call_ends_the_run_cleanly(
     assert main(["pack", str(source), str(brick), *pack_flags]) == 0
     commands = {
         "pack": lambda n: ["pack", str(source), str(tmp_path / f"brick-{n}"), *pack_flags],
-        "verify": lambda n: ["verify", "--deep", str(brick), *common],
+        "verify": lambda n: ["verify", str(brick), *common],
+        "verify --deep": lambda n: ["verify", "--deep", str(brick), *common],
         "unpack": lambda n: ["unpack", str(brick), str(tmp_path / f"out-{n}"), *common],
     }
     for command, argv in commands.items():

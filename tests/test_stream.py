@@ -162,12 +162,15 @@ def deflate_block(request, monkeypatch):
     return payload.CHUNK_BYTES
 
 
-DECODE_STAGES = ("brick-write",)  # the one decode thread: it hashes and writes the plain bytes
+# The decode helpers, at most one per payload: the writer hashes and writes a
+# deflate payload's plain bytes, the hasher hashes the payload in a shallow read.
+WRITER, HASHER = "brick-write", "brick-hash"
+DECODE_STAGES = (WRITER, HASHER)
 
 
 @pytest.fixture
 def stage_starts(monkeypatch):
-    """The names of the decode stage threads started while the test runs, in order."""
+    """The names of the decode helper threads started while the test runs, in order."""
     started = []
     real_start = threading.Thread.start
 
@@ -926,7 +929,7 @@ SPLIT = 64  # CHUNK_BYTES in these tests, so that entries fall on both sides of 
 def test_hostile_brick_gives_the_same_findings_inline_and_pooled(tmp_path, monkeypatch):
     monkeypatch.setattr(payload, "CHUNK_BYTES", SPLIT)
     source = tmp_path / "src"
-    defects = ["fine", "missing", "short", "flipped", "fifo", "dir", "plain"]
+    defects = ["fine", "missing", "short", "long", "flipped", "fifo", "dir", "plain"]
     names = [f"d{i % 2}/{defect}-{size}" for i, defect in enumerate(defects) for size in (20, 2000)]
     for seed, name in enumerate(names):
         (source / name).parent.mkdir(parents=True, exist_ok=True)
@@ -943,6 +946,9 @@ def test_hostile_brick_gives_the_same_findings_inline_and_pooled(tmp_path, monke
             shallow.append((name, KIND_MISSING))
         elif defect == "short":
             stored.write_bytes(stored.read_bytes()[:-1])
+            shallow.append((name, KIND_SIZE))
+        elif defect == "long":
+            stored.write_bytes(stored.read_bytes() + b"X")
             shallow.append((name, KIND_SIZE))
         elif defect == "flipped":
             stored.write_bytes(b"X" + stored.read_bytes()[1:])
@@ -1019,7 +1025,7 @@ def test_run_entries_keeps_at_most_two_pooled_jobs_per_worker_unfinished(monkeyp
     monkeypatch.setattr(brick_mod, "ThreadPoolExecutor", CountingPool)
     release, running = threading.Event(), threading.Semaphore(0)
 
-    def work(job):
+    def work(job, threads):
         running.release()
         assert release.wait(60)
         return job * 10
@@ -1043,7 +1049,7 @@ def test_run_entries_keeps_at_most_two_pooled_jobs_per_worker_unfinished(monkeyp
 
 
 def test_run_entries_raises_the_first_pooled_failure_in_job_order():
-    def work(job):
+    def work(job, threads):
         if job == 0:
             time.sleep(0.2)  # fails after job 1 has failed and left the window
         if job < 2:
@@ -1053,6 +1059,127 @@ def test_run_entries_raises_the_first_pooled_failure_in_job_order():
     jobs = list(range(10))
     with pytest.raises(ValueError, match="^job 0$"):
         brick_mod._run_entries(jobs, lambda job: payload.CHUNK_BYTES, work, 2)
+
+
+@pytest.mark.parametrize("cores, workers", [(1, 1), (2, 2), (16, 8)])
+def test_default_workers_count_the_cores_this_process_may_run_on(monkeypatch, cores, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert brick_mod._worker_count(None) == workers
+    monkeypatch.delattr(os, "sched_getaffinity")  # a platform without it
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    assert brick_mod._worker_count(None) == workers
+
+
+@pytest.mark.parametrize(
+    "workers, large, small, share",
+    [
+        (1, 2, 0, 1),  # one worker pools nothing
+        (2, 1, 0, 2),
+        (2, 1, 1, 2),  # half a chunk of inline jobs leaves the calling thread's slot free
+        (2, 1, 2, 1),  # a chunk's worth takes it
+        (2, 2, 0, 1),
+        (4, 1, 2, 3),
+        (4, 2, 0, 2),
+        (4, 2, 2, 1),
+        (4, 3, 0, 1),
+        (8, 1, 0, 8),
+    ],
+)
+def test_each_pooled_job_gets_an_even_share_of_the_workers(workers, large, small, share):
+    jobs = [payload.CHUNK_BYTES] * large + [payload.CHUNK_BYTES // 2] * small
+    given = brick_mod._run_entries(jobs, lambda job: job, lambda job, threads: threads, workers)
+    assert given == [share] * large + [1] * small
+
+
+@pytest.mark.parametrize("chain", CHAINS, ids=CHAIN_IDS)
+def test_a_lone_large_payload_gets_one_helper_per_read(tmp_path, stage_starts, chain):
+    source = tmp_path / "src"
+    source.mkdir()
+    (source / "big").write_bytes(nibbles(4 * payload.CHUNK_BYTES, 23))
+    (source / "small").write_bytes(b"runs inline, beside the pool")
+    brick_dir = tmp_path / "brick"
+    entries = do_pack(source, brick_dir, chain).manifest.entries
+    assert max(entry.payload_size for entry in entries) >= payload.CHUNK_BYTES
+    passphrase = passphrase_for(chain)
+
+    def started_by(call) -> list[str]:
+        stage_starts.clear()
+        assert call()
+        return list(stage_starts)
+
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        started = {
+            "verify": started_by(
+                lambda: verify(brick_dir, passphrase=passphrase, workers=workers).ok
+            ),
+            "verify --deep": started_by(
+                lambda: verify(brick_dir, deep=True, passphrase=passphrase, workers=workers).ok
+            ),
+            "unpack": started_by(lambda: unpack(brick_dir, out, passphrase, workers)),
+        }
+        assert read_tree(out) == read_tree(source)
+        helped = workers > 1
+        writer = [WRITER] * (helped and "deflate" in chain)
+        assert started == {
+            "verify": [HASHER] * helped, "verify --deep": writer, "unpack": writer
+        }, workers
+
+
+@pytest.mark.parametrize("deep", [False, True], ids=["shallow", "deep"])
+def test_a_payload_in_a_busy_pool_gets_no_helper(tmp_path, monkeypatch, stage_starts, deep):
+    source = tmp_path / "src"
+    source.mkdir()
+    for seed, name in enumerate(["a", "b"]):
+        (source / name).write_bytes(nibbles(4 * payload.CHUNK_BYTES, 24 + seed))
+    brick_dir = tmp_path / "brick"
+    entries = do_pack(source, brick_dir, ("deflate",)).manifest.entries
+    assert min(entry.payload_size for entry in entries) >= payload.CHUNK_BYTES
+    # "a" stays unfinished until "b" has been read, so both are read at once,
+    # and two payloads under two workers leave no room for a helper.
+    b_done, given = threading.Event(), {}
+    real_check = brick_mod._check_entry
+
+    def check(root, entry, deep, chain, key, write, threads):
+        given[entry.path] = threads
+        if entry.path == "a":
+            assert b_done.wait(60)
+            return None, entry.payload_size
+        try:
+            return real_check(root, entry, deep, chain, key, write, threads)
+        finally:
+            b_done.set()
+
+    monkeypatch.setattr(brick_mod, "_check_entry", check)
+    report = bounded(lambda: verify(brick_dir, deep=deep, workers=2))
+    assert report.ok and report.bytes_checked == sum(entry.payload_size for entry in entries)
+    assert given == {"a": 1, "b": 1}
+    assert stage_starts == []
+
+
+def test_a_hasher_that_fails_to_start_leaves_no_thread(tmp_path, monkeypatch):
+    source = tmp_path / "src"
+    source.mkdir()
+    (source / "f").write_bytes(nibbles(4 * payload.CHUNK_BYTES, 26))
+    brick_dir = tmp_path / "brick"
+    entry = do_pack(source, brick_dir, ("none",)).manifest.entries[0]
+    real_start = threading.Thread.start
+
+    def start(thread):
+        if thread.name == HASHER:
+            raise RuntimeError("can't start new thread")
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    threads_before = threading.active_count()
+    fd = os.open(brick_dir / "f", os.O_RDONLY)
+    try:
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            bounded(lambda: payload.decode_file(fd, entry.payload_size, None, None, threads=2))
+    finally:
+        os.close(fd)
+    assert threading.active_count() == threads_before
 
 
 @pytest.mark.parametrize("chain", [("none",), ("deflate", "aes-256-gcm")], ids=str)
@@ -1098,7 +1225,7 @@ def test_a_file_of_one_chunk_gets_threads_at_the_real_size(
         *[("decode", size["below"], False), ("decode", size["one-chunk"], True)] * 2,
     ])
     # Only the deflate payload of one chunk starts the stages: in verify --deep and in unpack.
-    assert stage_starts == [*DECODE_STAGES] * 2 * ("deflate" in chain)
+    assert stage_starts == [WRITER] * 2 * ("deflate" in chain)
 
 
 # ---------- the GCM size ceiling ----------
@@ -1496,6 +1623,8 @@ def test_a_payload_shorter_than_its_size_decodes_without_raising(
         if threads > 1:
             serial = decode_with(brick_dir / "f", size, chain, key, entry.plain_size, 1)
             assert (decoded, written) == serial, f"cut at {cut}"
+            shallow = [decode_with(brick_dir / "f", size, None, None, 0, n) for n in (1, threads)]
+            assert shallow[1] == shallow[0], f"cut at {cut}"
     assert bool(stage_starts) == (threads > 1 and size >= chunk)
 
 
@@ -1624,7 +1753,7 @@ def test_a_failing_stage_gives_what_one_thread_gives(
     serial, pipelined = outcomes(1), outcomes(2)
     assert pipelined[:4] == serial[:4]
     # verify --deep and both unpacks wrote the file beside its reader.
-    assert serial[4] == [] and pipelined[4] == [*DECODE_STAGES] * 3
+    assert serial[4] == [] and pipelined[4] == [WRITER] * 3
     findings, raised, code, err, _ = serial
     if failure == "write":
         assert findings == []
@@ -1672,14 +1801,14 @@ def test_only_large_deflate_payloads_start_decode_threads(tmp_path, monkeypatch,
                    workers=workers)
             pipelined = "deflate" in chain and workers > 1
             # Once for verify --deep and once for unpack, and only for the large payload.
-            assert stage_starts == [*DECODE_STAGES] * 2 * pipelined, (chain, workers)
+            assert stage_starts == [WRITER] * 2 * pipelined, (chain, workers)
             # One thread and the stages alike read and write in pieces.
             assert max(sizes) == chunk, (chain, workers)
             assert read_tree(tmp_path / f"out-{brick_dir.name}-{workers}") == read_tree(source)
-    # A shallow verify decodes nothing.
+    # A shallow verify decodes nothing; it hashes the one large payload beside its reader.
     stage_starts.clear()
     assert verify(tmp_path / "deflate", workers=2).ok
-    assert stage_starts == []
+    assert stage_starts == [HASHER]
 
 
 @pytest.mark.parametrize("chunk_bytes", [None, 4096], ids=["chunk1M", "chunk4K"])
@@ -1768,7 +1897,7 @@ def test_a_writer_that_fails_to_start_leaves_no_thread_and_writes_nothing(tmp_pa
     real_start = threading.Thread.start
 
     def start(thread):
-        if thread.name == "brick-write":
+        if thread.name == WRITER:
             raise RuntimeError("can't start new thread")
         real_start(thread)
 
@@ -1811,7 +1940,7 @@ def test_inflate_runs_on_the_thread_that_decodes(tmp_path, monkeypatch, stage_st
     assert (decoded.error, decoded.plain_sha256) == (None, entry.plain_sha256)
     assert written == (source / "f").read_bytes()
     assert len(fed_on) > 1 and set(fed_on) == {threading.get_ident()}
-    assert stage_starts == [*DECODE_STAGES] * (threads > 1)
+    assert stage_starts == [WRITER] * (threads > 1)
 
 
 def test_a_small_encrypted_payload_decrypts_into_a_small_buffer(tmp_path):
@@ -1867,7 +1996,7 @@ def test_a_writer_that_copies_each_piece_gets_the_plain_bytes(tmp_path, threads)
 
 
 def test_many_pipelines_at_once_on_a_busy_interpreter(tmp_path, monkeypatch, stage_starts):
-    # Reads of 4 KiB let every 64 KiB file take the stages; four workers
+    # Reads of 4 KiB let every 64 KiB file take a helper; four workers
     # on fewer cores, switching threads every few microseconds.
     monkeypatch.setattr(payload, "CHUNK_BYTES", 4096)
     source = tmp_path / "src"
@@ -1876,22 +2005,36 @@ def test_many_pipelines_at_once_on_a_busy_interpreter(tmp_path, monkeypatch, sta
         (source / f"f{index}").write_bytes(nibbles(64 << 10, 20 + index))
     brick_dir = tmp_path / "brick"
     chain = ("deflate", "aes-256-gcm")
-    do_pack(source, brick_dir, chain)
+    result = do_pack(source, brick_dir, chain)
+    key = payload.derive_key(PASSPHRASE, result.manifest.kdf)
     stored = (brick_dir / "f5").read_bytes()
+
+    def decode(entry):
+        return decode_with(
+            brick_dir / entry.path, entry.payload_size, chain, key, entry.plain_size, 2
+        )
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for round_ in range(3):
             bounded(lambda: unpack(brick_dir, tmp_path / f"out{round_}", PASSPHRASE, workers=4))
             assert read_tree(tmp_path / f"out{round_}") == read_tree(source)
+            assert bounded(lambda: verify(brick_dir, workers=4)).ok
+        # Eight payloads, each read with a helper, all at once.
+        stage_starts.clear()
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            decoded = bounded(lambda: list(pool.map(decode, result.manifest.entries)))
+        assert stage_starts == [WRITER] * 8
+        for entry, (outcome, written) in zip(result.manifest.entries, decoded):
+            assert outcome.plain_sha256 == entry.plain_sha256 and outcome.error is None
+            assert written == (source / entry.path).read_bytes()
         middle = len(stored) // 2
         reseal(brick_dir, "f5", stored[:middle] + bytes([stored[middle] ^ 1]) + stored[middle + 1 :])
         report = bounded(lambda: verify(brick_dir, deep=True, passphrase=PASSPHRASE, workers=4))
     finally:
         sys.setswitchinterval(interval)
     assert kinds(report) == [("f5", KIND_DECODE)]
-    # Eight files, three unpacks and one verify --deep: each file took the stages every time.
-    assert sorted(stage_starts) == sorted(DECODE_STAGES * 8 * 4)
 
 
 def test_an_inflated_payload_never_piles_up_in_memory(tmp_path, monkeypatch, stage_starts):
@@ -1911,7 +2054,7 @@ def test_an_inflated_payload_never_piles_up_in_memory(tmp_path, monkeypatch, sta
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert stage_starts == [*DECODE_STAGES]
+    assert stage_starts == [WRITER]
     # The hand-offs, the piece each stage holds and zlib's window: a few pieces, not 64 MiB.
     assert peak < 12 * piece
     assert (tmp_path / "out" / "f").stat().st_size == 64 << 20
@@ -1924,7 +2067,7 @@ def test_an_inflated_payload_never_piles_up_in_memory(tmp_path, monkeypatch, sta
     with pytest.raises(IntegrityError, match="more than the 1000 bytes"):
         unpack(brick_dir, tmp_path / "bomb", workers=2)
     assert leftovers(tmp_path / "bomb") == []
-    assert stage_starts == [*DECODE_STAGES] * 3
+    assert stage_starts == [WRITER] * 3
 
 
 # ---------- pack encrypts into one reused buffer ----------
