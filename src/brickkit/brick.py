@@ -38,9 +38,9 @@ from .manifest import (
     check_relative_path,
     is_encrypted,
     parse_manifest,
-    serialize_manifest,
     sorted_entries,
     validate_chain,
+    write_manifest,
 )
 
 # Shallow findings, ordered by precedence; deep adds the last three.
@@ -368,8 +368,10 @@ def pack(
                 entries=entries,
                 kdf=kdf,
             )
-            text = serialize_manifest(manifest)
-            _write_new(f"{brick_dir}/{MANIFEST_FILENAME}", lambda write: write(text))
+            _write_new(
+                f"{brick_dir}/{MANIFEST_FILENAME}",
+                lambda write: write_manifest(manifest, write, payload_mod.CHUNK_BYTES),
+            )
     finally:
         if blocks is not None:
             blocks.shutdown(cancel_futures=True)
@@ -405,13 +407,21 @@ def _open_regular(path: str, consume: Callable[[int, os.stat_result], Any]) -> A
 
 
 def load_manifest(brick_dir: Path) -> Manifest:
-    """Parse brick_dir's manifest; a symlink, FIFO or directory in its place is no manifest."""
+    """Parse brick_dir's manifest; a symlink, FIFO or directory in its place is no manifest.
 
-    def parse(fd: int, _: os.stat_result) -> Manifest:
-        parts = []  # read in pieces of CHUNK_BYTES at most, as a payload is
+    The file is read as a payload is, with os.read in pieces of at most
+    CHUNK_BYTES, into one buffer sized by fstat, and parsed where it lies:
+    beside the entries, the run holds one copy of the manifest and one piece.
+    """
+
+    def parse(fd: int, info: os.stat_result) -> Manifest:
+        data = bytearray(info.st_size)
+        size = 0
         while part := os.read(fd, payload_mod.CHUNK_BYTES):
-            parts.append(part)
-        return parse_manifest(b"".join(parts))
+            data[size : size + len(part)] = part  # past the end, if the file grew, this appends
+            size += len(part)
+        del data[size:]  # shorter, if the file shrank since fstat
+        return parse_manifest(data)
 
     manifest = _open_regular(f"{brick_dir}/{MANIFEST_FILENAME}", parse)
     if manifest is None:

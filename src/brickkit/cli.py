@@ -23,7 +23,8 @@ from pathlib import Path
 from .errors import EXIT_INTEGRITY, EXIT_IO, EXIT_OK, BrickKitError, ConfigError
 
 # Each command imports the modules it calls, so that one tool's command does
-# not load the other tools: the brick format alone pulls in `cryptography`.
+# not load the other tools. The brick format itself loads `cryptography` only
+# when a chain first encrypts or decrypts.
 
 _SEQ_DEFAULTS = {"block": 64 * 1024, "depth": 2}   # classic sequential config
 _RAND_DEFAULTS = {"block": 8 * 1024, "depth": 1}   # classic random config

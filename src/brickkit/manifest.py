@@ -25,6 +25,7 @@ import hashlib
 import re
 import unicodedata
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from .errors import ManifestError, UnsupportedVersionError
 
@@ -53,6 +54,8 @@ SALT_BYTES = 16
 # them; the kdf keys follow the codec line only when the chain encrypts.
 _HEADER_KEYS = ("dataset", "created", "codec")
 _KDF_KEYS = ("kdf", "iterations", "salt")
+# serialize_manifest's piece size; pieces of any size join to the same bytes.
+_SERIALIZE_PIECE_BYTES = 256 << 10
 
 _HEX_DIGEST_RE = re.compile(r"[0-9a-f]{64}")
 _DECIMAL_RE = re.compile(r"0|[1-9][0-9]*")
@@ -252,8 +255,13 @@ def sorted_entries(entries: list[ChunkEntry]) -> tuple[ChunkEntry, ...]:
     return ordered
 
 
-def serialize_manifest(manifest: Manifest) -> bytes:
-    """Serialize to bytes; the entries section is deterministic per tree."""
+def write_manifest(manifest: Manifest, write: Callable[[bytes], object], size: int) -> None:
+    """Hand write() the manifest's bytes in pieces of `size` bytes, the last one shorter.
+
+    Each entry line is hashed as it is written, and a line may straddle two
+    pieces, so beyond the entries this holds about one piece, whatever the
+    entry count. write() may keep a piece: none is changed once handed over.
+    """
     keys = _HEADER_KEYS
     values = [manifest.dataset_name, manifest.created_at, ",".join(manifest.codec_chain)]
     if manifest.kdf is not None:
@@ -261,9 +269,37 @@ def serialize_manifest(manifest: Manifest) -> bytes:
         values += [manifest.kdf.algorithm, str(manifest.kdf.iterations), manifest.kdf.salt.hex()]
     head = f"{MANIFEST_FILENAME} v{manifest.format_version}\n"
     head += "".join(f"{key}: {value}\n" for key, value in zip(keys, values)) + "\n"
-    entry_lines = b"".join(entry.line() for entry in manifest.entries)
-    digest = hashlib.sha256(entry_lines).hexdigest()
-    return head.encode("utf-8") + entry_lines + f"digest: {digest}\n".encode("ascii")
+    digest = hashlib.sha256()
+
+    def lines() -> Iterator[bytes]:
+        yield head.encode("utf-8")
+        for entry in manifest.entries:
+            line = entry.line()
+            digest.update(line)
+            yield line
+        yield f"digest: {digest.hexdigest()}\n".encode("ascii")
+
+    piece = bytearray()
+    for line in lines():
+        piece += line
+        while len(piece) >= size:
+            rest = piece[size:]
+            del piece[size:]
+            write(piece)
+            piece = rest
+    if piece:
+        write(piece)
+
+
+def serialize_manifest(manifest: Manifest) -> bytes:
+    """The manifest's bytes, as the join of write_manifest's pieces.
+
+    The entries section is deterministic per tree. Pack writes the same
+    pieces straight to the file, without the whole.
+    """
+    pieces: list[bytes] = []
+    write_manifest(manifest, pieces.append, _SERIALIZE_PIECE_BYTES)
+    return b"".join(pieces)
 
 
 def _fail(line_number: int, message: str) -> ManifestError:
@@ -305,27 +341,43 @@ def _parse_entry(line: str, line_number: int) -> ChunkEntry:
     )
 
 
-def parse_manifest(data: bytes) -> Manifest:
+def _lines(data: bytes | bytearray) -> Iterator[tuple[int, int, str]]:
+    """(number, start, text) of each LF-ended line of data, numbered from 1, without its LF."""
+    number, start = 1, 0
+    find = data.find
+    while (end := find(b"\n", start)) >= 0:
+        try:
+            yield number, start, data[start:end].decode("utf-8")
+        except UnicodeDecodeError:
+            raise _fail(number, "not valid UTF-8") from None
+        number, start = number + 1, end + 1
+
+
+def parse_manifest(data: bytes | bytearray) -> Manifest:
     """Parse and fully validate manifest bytes.
 
     Any structural defect raises with the line it was found on; a digest
     mismatch or truncation never yields a partial manifest. Only the bytes
     serialize_manifest would write are accepted, so each manifest has one
-    encoding.
+    encoding. The bytes are read where they lie, a line at a time, and the
+    entry lines are hashed through a memoryview, so parsing holds no second
+    copy of them.
     """
     if not data.endswith(b"\n"):
         raise ManifestError("truncated: missing final newline")
-    raw_lines = data.split(b"\n")[:-1]
+    lines = _lines(data)
 
-    def text(index: int) -> str:
+    def text() -> str:
+        """The next header line; the header must end before the manifest does."""
+        nonlocal number, start
         try:
-            return raw_lines[index].decode("utf-8")
-        except UnicodeDecodeError:
-            raise _fail(index + 1, "not valid UTF-8") from None
-        except IndexError:  # only the header reads at a fixed index, which may be past the end
+            number, start, line = next(lines)
+        except StopIteration:
             raise ManifestError("truncated: header never ends") from None
+        return line
 
-    first = text(0)
+    number = start = 0
+    first = text()
     if first != f"{MANIFEST_FILENAME} v{FORMAT_VERSION}":
         if first.startswith(f"{MANIFEST_FILENAME} v"):
             raise UnsupportedVersionError(
@@ -336,44 +388,41 @@ def parse_manifest(data: bytes) -> Manifest:
     # Header line k holds the k-th key; the codec line decides whether the kdf keys follow.
     keys, values = _HEADER_KEYS, []
     while len(values) < len(keys):
-        key, line = keys[len(values)], text(len(values) + 1)
+        key, line = keys[len(values)], text()
         if not line.startswith(f"{key}: "):
-            raise _misplaced(line, len(values) + 2, keys, len(values))
+            raise _misplaced(line, number, keys, len(values))
         values.append(line[len(key) + 2 :])
         if key == "codec":
             try:
                 chain = validate_chain(tuple(values[-1].split(",")))
             except ValueError as exc:
-                raise _fail(len(values) + 1, str(exc)) from None
+                raise _fail(number, str(exc)) from None
             if is_encrypted(chain):
                 keys += _KDF_KEYS
-    index = len(keys) + 1  # the blank line that ends the header
-    if line := text(index):
-        raise _misplaced(line, index + 1, keys, len(values))
+    if line := text():  # the blank line that ends the header
+        raise _misplaced(line, number, keys, len(values))
 
     kdf = None
     if is_encrypted(chain):
         algorithm, iterations, salt = values[len(_HEADER_KEYS) :]
         try:
-            count = _decimal(iterations, "iterations", index + 1)
+            count = _decimal(iterations, "iterations", number)
             kdf = KdfParams(algorithm=algorithm, iterations=count, salt=bytes.fromhex(salt))
         except ValueError as exc:
-            raise _fail(index + 1, f"bad kdf parameters: {exc}") from None
+            raise _fail(number, f"bad kdf parameters: {exc}") from None
         if kdf.salt.hex() != salt:
-            raise _fail(index + 1, "salt must be lowercase hex without spaces")
+            raise _fail(number, "salt must be lowercase hex without spaces")
 
-    index += 1  # past the blank line
-    first_entry = index
+    first_entry = start + 1  # past the blank line's LF
     entries: list[ChunkEntry] = []
     declared_digest = None
-    while index < len(raw_lines):
-        line = text(index)
+    for number, start, line in lines:
         # Entry lines carry four tabs and a path never holds a raw tab, so
         # an entry for a file named "digest: x" is not the digest line.
         if line.startswith("digest: ") and "\t" not in line:
             declared_digest = line.removeprefix("digest: ")
-            if index != len(raw_lines) - 1:
-                raise _fail(index + 2, "content after the digest line")
+            if data.find(b"\n", start) != len(data) - 1:
+                raise _fail(number + 1, "content after the digest line")
             break
         plain = _PLAIN_ENTRY_RE.fullmatch(line)
         try:
@@ -384,20 +433,17 @@ def parse_manifest(data: bytes) -> Manifest:
                     int(payload_size), payload_sha256,
                 )
             else:
-                entry = _parse_entry(line, index + 1)
+                entry = _parse_entry(line, number)
         except ValueError as exc:
-            raise _fail(index + 1, str(exc)) from None
+            raise _fail(number, str(exc)) from None
         if entries and not (entries[-1].path < entry.path):
-            raise _fail(index + 1, f"entries not strictly ascending at {entry.path!r}")
+            raise _fail(number, f"entries not strictly ascending at {entry.path!r}")
         entries.append(entry)
-        index += 1
 
     if declared_digest is None:
         raise ManifestError("truncated: missing digest line")
     # The entry lines, each with its LF, run from the first entry to the digest line.
-    start = sum(len(line) + 1 for line in raw_lines[:first_entry])
-    end = len(data) - len(raw_lines[-1]) - 1
-    if declared_digest != hashlib.sha256(data[start:end]).hexdigest():
+    if declared_digest != hashlib.sha256(memoryview(data)[first_entry:start]).hexdigest():
         raise ManifestError("entries digest mismatch: manifest is corrupt")
 
     try:

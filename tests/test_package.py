@@ -145,7 +145,7 @@ def test_plan_and_tables_load_no_brick_format(argv):
 
 @pytest.fixture
 def bricks(tmp_path, monkeypatch) -> dict[str, list[str]]:
-    """argv of a sealed pack, verify --deep and unpack; the brick is packed here first."""
+    """argv of brick commands, sealed and not; the bricks they read are packed here first."""
     monkeypatch.setenv("BRICK_LOAD_PASS", "sesame")
     source = tmp_path / "data"
     source.mkdir()
@@ -153,10 +153,17 @@ def bricks(tmp_path, monkeypatch) -> dict[str, list[str]]:
     sealed = ["--codec", "deflate,aes-256-gcm", "--iterations", str(FAST_KDF_ITERATIONS)]
     secret = ["--passphrase-env", "BRICK_LOAD_PASS"]
     assert main(["pack", str(source), str(tmp_path / "brick"), *sealed, *secret]) == 0
+    assert main(["pack", str(source), str(tmp_path / "plain")]) == 0
     return {
         "pack": ["pack", str(source), str(tmp_path / "brick-2"), *sealed, *secret],
         "verify": ["verify", "--deep", str(tmp_path / "brick"), *secret],
         "unpack": ["unpack", str(tmp_path / "brick"), str(tmp_path / "out"), *secret],
+        "pack none": ["pack", str(source), str(tmp_path / "plain-2")],
+        "pack deflate": ["pack", str(source), str(tmp_path / "plain-3"), "--codec", "deflate"],
+        "verify --deep none": ["verify", "--deep", str(tmp_path / "plain")],
+        "unpack none": ["unpack", str(tmp_path / "plain"), str(tmp_path / "out-plain")],
+        # A shallow verify derives no key, even given the passphrase.
+        "verify sealed": ["verify", str(tmp_path / "brick"), *secret],
     }
 
 
@@ -167,6 +174,17 @@ def test_brick_commands_load_no_bench(bricks, capsys, command):
     assert code == 0
     assert set(BRICK_FORMAT) <= modules
     assert not among(modules, BENCHES)
+
+
+@pytest.mark.parametrize(
+    "command", ["pack none", "pack deflate", "verify --deep none", "unpack none", "verify sealed"]
+)
+def test_brick_commands_that_never_encrypt_load_no_cryptography(bricks, capsys, command):
+    capsys.readouterr()
+    code, modules = loaded_by(bricks[command])
+    assert code == 0
+    assert {"brickkit.brick", "brickkit.payload"} <= modules
+    assert not among(modules, ("cryptography",))
 
 
 def test_bench_io_loads_no_brick_format(tmp_path):

@@ -2075,7 +2075,7 @@ def test_an_inflated_payload_never_piles_up_in_memory(tmp_path, monkeypatch, sta
 def watch_encrypt_buffers(monkeypatch) -> list[int]:
     """Record, from here on, the room each update_into call of pack's encryptor is given."""
     rooms = []
-    real_cipher = payload.Cipher
+    real_cipher = payload._cryptography().Cipher
 
     class Encryptor:
         def __init__(self, encryptor):
@@ -2097,7 +2097,7 @@ def watch_encrypt_buffers(monkeypatch) -> list[int]:
         def encryptor(self):
             return Encryptor(self._cipher.encryptor())
 
-    monkeypatch.setattr(payload, "Cipher", Spy)
+    monkeypatch.setattr(payload._cryptography(), "Cipher", Spy)
     return rooms
 
 
