@@ -38,7 +38,6 @@ from .manifest import (
     check_relative_path,
     is_encrypted,
     parse_manifest,
-    sorted_entries,
     validate_chain,
     write_manifest,
 )
@@ -55,9 +54,8 @@ KIND_PLAIN_DIGEST = "plain-digest-mismatch"
 # Open errors that mean no regular file is there; ELOOP is O_NOFOLLOW meeting a symlink.
 _NOT_FOUND = (errno.ENOENT, errno.ENOTDIR, errno.EISDIR, errno.ELOOP)
 
-# Up to `workers` large files share pack's deflate pool, each with at most
-# threads + 1 blocks in flight: about (workers + 1)^2 blocks of 256 KiB plus
-# their 32 KiB primers at the cap, 1.2 GiB at 64.
+# The most threads a pool of a run may have: pack under deflate runs two
+# such pools, one for its entries and one for their blocks.
 MAX_WORKERS = 64
 
 
@@ -143,7 +141,9 @@ def _collect_source(
 ) -> tuple[list[tuple[str, str, int, tuple[int, int]]], list[str]]:
     """Map the tree's files to (stored path, real path, size, identity), and list its directories.
 
-    identity is the walk's (st_dev, st_ino), which pack checks against the file it opens.
+    The files come in manifest order: by stored path, which the walk's
+    order is not ("a-b" < "a/x", and a stored path is NFC). identity is the
+    walk's (st_dev, st_ino), which pack checks against the file it opens.
     """
     found: list[tuple[str, str, int, tuple[int, int]]] = []
     directories: list[str] = []
@@ -173,6 +173,7 @@ def _collect_source(
         seen[stored] = relative
         info = child.stat(follow_symlinks=False)
         found.append((stored, child.path, info.st_size, (info.st_dev, info.st_ino)))
+    found.sort(key=lambda item: item[0])
     return found, directories
 
 
@@ -224,8 +225,9 @@ def _run_entries(
     one helper (payload.decode_file), so for verify and unpack `workers` is
     the run's whole thread budget: a lone large payload, or two under four
     workers, is hashed, or under deflate written, beside its reader, and a
-    busy pool starts no helper. Pack's deflate blocks draw on a pool of
-    their own instead.
+    busy pool starts no helper. In pack, the share is how many of a file's
+    deflate blocks may be on pack's block pool at once (payload.encode_file):
+    at most `workers` entries run, so a run holds about 2 * workers blocks.
     """
     stop = threading.Event()
 
@@ -280,10 +282,12 @@ def pack(
     """Pack source_dir into a new brick at brick_dir.
 
     Each source file is read once, in chunks of at most payload.CHUNK_BYTES
-    (256 KiB), and streamed through the codec chain into its payload. A file
-    of one chunk and up is packed on a pool thread unless `workers` is 1.
-    Under deflate, the blocks of a file over one chunk are deflated on one
-    pool of `workers` threads that all entries share.
+    (256 KiB), and streamed through the codec chain into its payload, in
+    manifest order. A file of one chunk and up is packed on a pool thread
+    unless `workers` is 1. Under deflate, the blocks of a file over one
+    chunk are deflated on one pool of `workers` threads that all entries
+    share, each entry with its share of `workers` as _run_entries gives it,
+    plus one, blocks in flight: a lone large file keeps workers + 1.
     """
     source_dir = Path(source_dir)
     brick_dir = Path(brick_dir)
@@ -316,8 +320,8 @@ def pack(
     empty_dirs = tuple(sorted(set(all_directories) - set(directories)))
     made_files: list[str] = []  # the payloads written, removed again if pack fails
 
-    # The deflate threads come from `blocks`, not from the entry's share of the budget.
-    def store(item: tuple[str, str, int, tuple[int, int]], _threads: int) -> ChunkEntry:
+    # The entry's share bounds its blocks in flight on `blocks`, whose threads deflate them.
+    def store(item: tuple[str, str, int, tuple[int, int]], threads: int) -> ChunkEntry:
         stored, real, _, identity = item
         try:
             # The tree may have changed since the walk: a FIFO in a file's place
@@ -339,7 +343,7 @@ def pack(
                 encoded = _write_new(
                     f"{brick_dir}/{stored}",
                     lambda write: payload_mod.encode_file(
-                        source, info.st_size, write, chain, key, blocks, thread_count
+                        source, info.st_size, write, chain, key, blocks, threads
                     ),
                 )
             except ConfigError as exc:
@@ -360,7 +364,7 @@ def pack(
         blocks = ThreadPoolExecutor(max_workers=thread_count, thread_name_prefix="brick-deflate")
     try:
         with _new_tree(brick_dir, directories, made_files):
-            entries = sorted_entries(_run_entries(files, lambda job: job[2], store, thread_count))
+            entries = tuple(_run_entries(files, lambda job: job[2], store, thread_count))
             manifest = Manifest(
                 dataset_name=dataset_name,
                 created_at=datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),

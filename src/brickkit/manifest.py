@@ -236,24 +236,6 @@ class Manifest:
                 )
             previous = entry.path
 
-    def entries_digest(self) -> str:
-        digest = hashlib.sha256()
-        for entry in self.entries:
-            digest.update(entry.line())
-        return digest.hexdigest()
-
-    def entry_map(self) -> dict[str, ChunkEntry]:
-        return {entry.path: entry for entry in self.entries}
-
-
-def sorted_entries(entries: list[ChunkEntry]) -> tuple[ChunkEntry, ...]:
-    """Sort entries by path code points, rejecting duplicates."""
-    ordered = tuple(sorted(entries, key=lambda entry: entry.path))
-    for first, second in zip(ordered, ordered[1:]):
-        if first.path == second.path:
-            raise ValueError(f"duplicate entry path {first.path!r}")
-    return ordered
-
 
 def write_manifest(manifest: Manifest, write: Callable[[bytes], object], size: int) -> None:
     """Hand write() the manifest's bytes in pieces of `size` bytes, the last one shorter.

@@ -6,6 +6,7 @@ import hashlib
 import os
 import random
 import tracemalloc
+import unicodedata
 from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
@@ -29,6 +30,7 @@ from brickkit.brick import (
     unpack,
     verify,
 )
+from brickkit.cli import main
 from brickkit.errors import ConfigError, IntegrityError
 from brickkit.manifest import (
     MANIFEST_FILENAME,
@@ -101,7 +103,7 @@ def test_round_trip_all_chains(tmp_path, chain):
 def test_deflate_actually_compresses(tmp_path):
     source = make_source(tmp_path)
     result = do_pack(source, tmp_path / "brick", ("deflate",))
-    zeros = result.manifest.entry_map()["zeros.bin"]
+    zeros = {entry.path: entry for entry in result.manifest.entries}["zeros.bin"]
     assert zeros.payload_size < zeros.plain_size / 10
 
 
@@ -109,7 +111,7 @@ def test_encrypted_payloads_differ_across_packs(tmp_path):
     source = make_source(tmp_path)
     first = do_pack(source, tmp_path / "b1", ("aes-256-gcm",))
     second = do_pack(source, tmp_path / "b2", ("aes-256-gcm",))
-    by_path = second.manifest.entry_map()
+    by_path = {entry.path: entry for entry in second.manifest.entries}
     for entry in first.manifest.entries:
         twin = by_path[entry.path]
         assert entry.plain_sha256 == twin.plain_sha256
@@ -129,6 +131,35 @@ def test_nfd_source_name_is_stored_nfc(tmp_path):
     (source / "café.txt").write_bytes(b"x")  # decomposed on disk
     result = do_pack(source, tmp_path / "brick", ("none",))
     assert [e.path for e in result.manifest.entries] == ["café.txt"]
+
+
+def test_pack_stores_its_entries_in_manifest_order_not_walk_order(tmp_path):
+    source = tmp_path / "src"
+    files = {
+        "a/x": hashlib.shake_256(b"pooled").digest(payload.CHUNK_BYTES + 5),
+        "a.txt": b"dot",
+        "a-b": b"dash",
+        "e\u0301": b"decomposed on disk, stored as NFC U+00E9: after f",
+        "f": b"f",
+    }
+    for relative, data in files.items():
+        (source / relative).parent.mkdir(parents=True, exist_ok=True)
+        (source / relative).write_bytes(data)
+    walked = [
+        unicodedata.normalize("NFC", relative)
+        for relative, child in brick_mod._walk(str(source))
+        if not child.is_dir()
+    ]
+    assert walked == ["a/x", "a-b", "a.txt", "\u00e9", "f"]  # not code-point order
+    brick_dir = tmp_path / "brick"
+    result = pack(source, brick_dir, codec_chain=("deflate",), workers=2)
+    paths = [entry.path for entry in result.manifest.entries]
+    assert paths == ["a-b", "a.txt", "a/x", "f", "\u00e9"]
+    assert all(first < second for first, second in zip(paths, paths[1:]))
+    assert main(["verify", str(brick_dir), "--deep", "--workers", "2"]) == 0
+    unpack(brick_dir, tmp_path / "out", workers=2)
+    restored = read_tree(tmp_path / "out")
+    assert restored == {unicodedata.normalize("NFC", path): data for path, data in files.items()}
 
 
 def test_pack_rejects_bad_destinations_and_sources(tmp_path):
@@ -397,7 +428,10 @@ def test_pack_holds_about_one_piece_of_the_manifest(tmp_path, monkeypatch):
     source.mkdir()
     (source / "a").write_bytes(b"x")
     entries = many_entries(20_000)
-    monkeypatch.setattr(brick_mod, "sorted_entries", lambda found: tuple(found) + entries)
+    real_run_entries = brick_mod._run_entries
+    monkeypatch.setattr(
+        brick_mod, "_run_entries", lambda *args: real_run_entries(*args) + list(entries)
+    )
     tracemalloc.start()
     try:
         result = pack(source, tmp_path / "brick", workers=1)

@@ -23,7 +23,6 @@ from brickkit.manifest import (
     is_encrypted,
     parse_manifest,
     serialize_manifest,
-    sorted_entries,
     validate_chain,
     write_manifest,
 )
@@ -221,9 +220,6 @@ def test_manifest_requires_sorted_unique_entries():
         manifest([entry("b"), entry("a")])
     with pytest.raises(ValueError):
         manifest([entry("a"), entry("a")])
-    assert sorted_entries([entry("b"), entry("a")])[0].path == "a"
-    with pytest.raises(ValueError):
-        sorted_entries([entry("a"), entry("a")])
 
 
 def test_manifest_kdf_pairing_rules():
@@ -246,7 +242,7 @@ def test_kdf_params_validation():
 
 
 def test_empty_manifest_digest_is_sha_of_nothing():
-    assert manifest([]).entries_digest() == SHA_EMPTY
+    assert serialize_manifest(manifest([])).endswith(f"\n\ndigest: {SHA_EMPTY}\n".encode())
 
 
 # ---------- serialization ----------
@@ -262,7 +258,8 @@ def test_serialize_layout():
     assert lines[4] == ""
     assert lines[5].startswith("a.txt\t1\t")
     assert lines[6].startswith("b/c.bin\t1\t")
-    assert lines[7] == f"digest: {m.entries_digest()}"
+    entry_lines = b"".join(e.line() for e in m.entries)
+    assert lines[7] == f"digest: {hashlib.sha256(entry_lines).hexdigest()}"
     assert text.endswith("\n")
 
 
@@ -287,10 +284,11 @@ def test_round_trip_encrypted_headers():
     st.integers(min_value=1, max_value=500),
 )
 def test_round_trip_random_manifests(count, rng, piece_bytes):
-    entries = sorted_entries(
-        [entry(f"d{rng.randrange(10)}/f{i}", bytes([i % 256]) * (i % 7)) for i in range(count)]
+    entries = sorted(
+        (entry(f"d{rng.randrange(10)}/f{i}", bytes([i % 256]) * (i % 7)) for i in range(count)),
+        key=lambda e: e.path,
     )
-    m = manifest(list(entries))
+    m = manifest(entries)
     data = serialize_manifest(m)
     assert parse_manifest(data) == parse_manifest(bytearray(data)) == m
     # Pieces of any size join to the same bytes; only the last may be shorter.
@@ -382,7 +380,8 @@ def test_parse_rejects_unsorted_entries():
     )
     # fix the digest so ordering is the only defect
     digest = hashlib.sha256(second.line() + first.line()).hexdigest()
-    swapped = corrupt(swapped, m.entries_digest().encode(), digest.encode())
+    in_order = hashlib.sha256(first.line() + second.line()).hexdigest()
+    swapped = corrupt(swapped, in_order.encode(), digest.encode())
     with pytest.raises(ManifestError, match="ascending"):
         parse_manifest(swapped)
 
