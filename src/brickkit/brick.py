@@ -54,8 +54,9 @@ KIND_PLAIN_DIGEST = "plain-digest-mismatch"
 # Open errors that mean no regular file is there; ELOOP is O_NOFOLLOW meeting a symlink.
 _NOT_FOUND = (errno.ENOENT, errno.ENOTDIR, errno.EISDIR, errno.ELOOP)
 
-# The most threads a pool of a run may have: pack under deflate runs two
-# such pools, one for its entries and one for their blocks.
+# Up to `workers` large files share pack's deflate pool, each with at most
+# threads + 1 blocks in flight: about (workers + 1)^2 blocks of 256 KiB plus
+# their 32 KiB primers at the cap, 1.2 GiB at 64.
 MAX_WORKERS = 64
 
 
@@ -225,9 +226,8 @@ def _run_entries(
     one helper (payload.decode_file), so for verify and unpack `workers` is
     the run's whole thread budget: a lone large payload, or two under four
     workers, is hashed, or under deflate written, beside its reader, and a
-    busy pool starts no helper. In pack, the share is how many of a file's
-    deflate blocks may be on pack's block pool at once (payload.encode_file):
-    at most `workers` entries run, so a run holds about 2 * workers blocks.
+    busy pool starts no helper. Pack's deflate blocks draw on a pool of
+    their own instead.
     """
     stop = threading.Event()
 
@@ -286,8 +286,7 @@ def pack(
     manifest order. A file of one chunk and up is packed on a pool thread
     unless `workers` is 1. Under deflate, the blocks of a file over one
     chunk are deflated on one pool of `workers` threads that all entries
-    share, each entry with its share of `workers` as _run_entries gives it,
-    plus one, blocks in flight: a lone large file keeps workers + 1.
+    share.
     """
     source_dir = Path(source_dir)
     brick_dir = Path(brick_dir)
@@ -320,8 +319,8 @@ def pack(
     empty_dirs = tuple(sorted(set(all_directories) - set(directories)))
     made_files: list[str] = []  # the payloads written, removed again if pack fails
 
-    # The entry's share bounds its blocks in flight on `blocks`, whose threads deflate them.
-    def store(item: tuple[str, str, int, tuple[int, int]], threads: int) -> ChunkEntry:
+    # The deflate threads come from `blocks`, not from the entry's share of the budget.
+    def store(item: tuple[str, str, int, tuple[int, int]], _threads: int) -> ChunkEntry:
         stored, real, _, identity = item
         try:
             # The tree may have changed since the walk: a FIFO in a file's place
@@ -343,7 +342,7 @@ def pack(
                 encoded = _write_new(
                     f"{brick_dir}/{stored}",
                     lambda write: payload_mod.encode_file(
-                        source, info.st_size, write, chain, key, blocks, threads
+                        source, info.st_size, write, chain, key, blocks, thread_count
                     ),
                 )
             except ConfigError as exc:

@@ -252,13 +252,13 @@ def _add_passphrase_flags(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         help="threads for files of 256 KiB and up, smaller files run on the calling thread;"
-        " the calling thread takes one once the smaller files add up to 256 KiB, and the"
-        " files of 256 KiB and up share the rest evenly; in verify and unpack a file whose"
-        " share is two or more gets a helper thread, which hashes it (under deflate in"
-        " verify --deep and unpack, hashes its plain bytes and, in unpack, writes them);"
-        " pack deflates the blocks of files over 256 KiB on a second pool of this many"
-        " threads, each file with its share plus one blocks in flight, about 2 x workers"
-        " blocks of 288 KiB in all; 1 keeps everything on one thread; at most 64"
+        " pack also deflates the blocks of files over 256 KiB on a pool of this many threads;"
+        " for verify and unpack it is the whole thread budget: the calling thread takes one"
+        " once the smaller files add up to 256 KiB, the files of 256 KiB and up share the"
+        " rest evenly, and one whose share is two or more gets a helper thread, which hashes"
+        " it (under deflate in verify --deep and unpack, hashes its plain bytes and, in"
+        " unpack, writes them); 1 keeps everything on one thread; at most 64, where pack"
+        " may hold about (workers + 1)^2 blocks of 256 KiB (1.2 GiB) in memory"
         " (default: one per core this process may run on, up to 8)",
     )
 

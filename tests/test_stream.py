@@ -324,7 +324,7 @@ def test_a_file_of_many_blocks_is_one_v1_deflate_stream(tmp_path, monkeypatch, c
     passphrase = passphrase_for(chain)
     payloads = set()
     for read_cap in (7, 4096, 1 << 20):
-        for workers in (1, 2, 4, None):  # at 2 and 4, each of the 3 pooled files gets 1
+        for workers in (1, 2, 4, None):
             cap_reads(monkeypatch, read_cap)
             brick_dir = tmp_path / f"brick-{read_cap}-{workers}"
             result = pack(
@@ -1228,63 +1228,25 @@ def test_a_file_of_one_chunk_gets_threads_at_the_real_size(
     assert stage_starts == [WRITER] * 2 * ("deflate" in chain)
 
 
-@pytest.mark.parametrize(
-    "large, small, share",
-    [
-        (1, 0, 4),  # a lone large file gets the whole budget
-        (2, 0, 2),
-        (1, 4, 3),  # small files of 256 KiB in all take the calling thread's slot
-    ],
-)
-def test_pack_hands_each_large_file_its_share_of_the_workers(
-    tmp_path, monkeypatch, large, small, share
-):
-    chunk = payload.CHUNK_BYTES
-    source = tmp_path / "src"
-    source.mkdir()
-    for seed in range(large):
-        (source / f"large-{seed}").write_bytes(nibbles(4 * chunk, 30 + seed))
-    for seed in range(small):
-        (source / f"small-{seed}").write_bytes(body(chunk // 4, 40 + seed))
-    given = []
-    real_encode = payload.encode_file
+def test_a_lone_large_file_keeps_one_block_per_worker_plus_one_in_flight(tmp_path, monkeypatch):
+    """No block is deflated until the file's entry waits on its window of blocks.
 
-    def encode(fd, size, write, chain, key, pool, threads):
-        given.append((size, threads))
-        return real_encode(fd, size, write, chain, key, pool, threads)
-
-    monkeypatch.setattr(payload, "encode_file", encode)
-    pack(source, tmp_path / "brick", codec_chain=("deflate",), workers=4)
-    assert sorted(given) == sorted([(chunk // 4, 1)] * small + [(4 * chunk, share)] * large)
-
-
-@pytest.mark.parametrize(
-    "files, most", [(4, 2 * 4), (1, 4 + 1)], ids=["four-files", "lone-file"]
-)
-def test_pack_holds_about_two_blocks_per_worker_in_flight(tmp_path, monkeypatch, files, most):
-    """No block is deflated until every running entry waits on its window of blocks.
-
-    Each entry keeps its share of the 4 workers, plus one, blocks in flight:
-    four files of 2 MiB hold 2 each, not 4 + 1 each, and a lone file keeps 4 + 1.
+    A lone file under 4 workers then has 4 + 1 blocks on the block pool.
     """
     source = tmp_path / "src"
     source.mkdir()
-    for seed in range(files):
-        (source / f"f{seed}").write_bytes(nibbles(8 * payload.CHUNK_BYTES, 50 + seed))
-    state = {"out": 0, "most": 0, "waiting": 0}  # blocks submitted and not taken back
+    (source / "f").write_bytes(nibbles(8 * payload.CHUNK_BYTES, 50))
+    state = {"out": 0, "most": 0}  # blocks submitted and not taken back
     lock, gate = threading.Lock(), threading.Event()
 
     class Held:
-        """A block's future; an entry that asks for its result waits on its window."""
+        """A block's future; the entry that asks for its result waits on its window."""
 
         def __init__(self, future):
             self.future = future
 
         def result(self):
-            with lock:
-                state["waiting"] += 1
-                if state["waiting"] == files:
-                    gate.set()
+            gate.set()
             value = self.future.result()
             with lock:
                 state["out"] -= 1
@@ -1302,7 +1264,7 @@ def test_pack_holds_about_two_blocks_per_worker_in_flight(tmp_path, monkeypatch,
                 state["most"] = max(state["most"], state["out"])
 
             def gated():
-                assert gate.wait(60), "an entry never waited on its window"
+                assert gate.wait(60), "the entry never waited on its window"
                 return fn(*args)
 
             return Held(super().submit(gated))
@@ -1313,7 +1275,7 @@ def test_pack_holds_about_two_blocks_per_worker_in_flight(tmp_path, monkeypatch,
 
     monkeypatch.setattr(brick_mod, "ThreadPoolExecutor", pool)
     bounded(lambda: pack(source, tmp_path / "brick", codec_chain=("deflate",), workers=4))
-    assert state["most"] == most
+    assert state["most"] == 4 + 1
     monkeypatch.undo()
     assert verify(tmp_path / "brick", deep=True).ok
 
