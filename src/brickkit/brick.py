@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import functools
+import itertools
 import os
 import stat
 import threading
@@ -557,19 +558,6 @@ def _new_tree(root: Path, directories: list[str], files: Iterable[str] = ()) -> 
         raise
 
 
-def _scratch_names(entries: tuple[ChunkEntry, ...], directories: list[str]) -> list[str]:
-    """A name per entry, in the entry's directory, that no manifest path or directory uses."""
-    taken = {entry.path for entry in entries} | set(directories)
-    names = []
-    for index, entry in enumerate(entries):
-        parent, slash, _ = entry.path.rpartition("/")
-        name = f"{parent}{slash}.brick-{index}.part"
-        while name in taken:  # only a manifest that lists such names can force this
-            name += ".part"
-        names.append(name)
-    return names
-
-
 def _write_all(fd: int, data: bytes) -> None:
     """os.write until every byte is written; a short write is not an error."""
     view = memoryview(data)
@@ -596,44 +584,23 @@ def _write_new(path: str, produce: Callable[[Callable[[bytes], None]], Any]) -> 
         raise
 
 
-def _restore(
-    root: str, dest: str, chain: tuple[str, ...], key: bytes | None, scratch_left: set[str],
-    job: tuple[ChunkEntry, str], threads: int,
-) -> int:
-    """Decode one payload into its scratch file and give it its final name once it is proven.
-
-    The scratch name is in scratch_left from its creation until it is
-    removed, so that a failed run can remove it if its own unlink failed.
-    """
-    entry, scratch = job[0], f"{dest}/{job[1]}"
-    decode = functools.partial(_check_entry, root, entry, True, chain, key)
-    finding, _ = _write_new(scratch, lambda write: decode(write, threads))  # closed, not yet named
-    scratch_left.add(job[1])
-    try:
-        if finding is not None:
-            raise IntegrityError(str(finding))
-        # A link, unlike a rename, never replaces a name that appeared meanwhile.
-        os.link(scratch, f"{dest}/{entry.path}")
-    finally:
-        os.unlink(scratch)
-        scratch_left.discard(job[1])
-    return entry.plain_size
-
-
 def unpack(
     brick_dir: Path, dest_dir: Path, passphrase: str | None = None, workers: int | None = None
 ) -> UnpackResult:
     """Restore the original tree, proving every file before it gets its name.
 
-    Each payload is read once and decoded into a scratch file beside its
-    final name, which it gets as a hard link only after the payload digest,
-    the GCM tag and the plain digest all match. A link never replaces a
-    name: one already there fails the run with FileExistsError and stays.
+    Each payload is read once and decoded into a scratch file in a directory
+    of this run's own at the top of the destination, .brick-unpack (with
+    .part appended while a manifest path or directory uses that name). The
+    file gets its final name as a hard link only after the payload digest,
+    the GCM tag and the plain digest all match; the directory is removed
+    once the last file has its name. A link never replaces a name: one
+    already there fails the run with FileExistsError and stays.
     Fails fast on the first bad payload: no further file is started, its
-    scratch file and any directory left empty are removed, and files
-    already restored are left in place so a rerun after repair can be
-    compared against them. A symlink in a payload's place is a missing
-    payload, never followed. Unless `workers` is 1, a payload of
+    scratch file, the scratch directory and any directory left empty are
+    removed, and files already restored are left in place so a rerun after
+    repair can be compared against them. A symlink in a payload's place is
+    a missing payload, never followed. Unless `workers` is 1, a payload of
     payload.CHUNK_BYTES (256 KiB) and up is restored on a pool thread. A
     deflate payload that size gets a helper thread, which hashes and writes
     its plain bytes while the pool thread reads, decrypts and inflates it,
@@ -648,10 +615,40 @@ def unpack(
     _require_empty_dir(dest_dir, "destination")
     chain = manifest.codec_chain
     key = _resolve_key(chain, passphrase, manifest.kdf)
+    root, dest = str(brick_dir), str(dest_dir)
     directories = _directories(entry.path for entry in manifest.entries)
-    jobs = list(zip(manifest.entries, _scratch_names(manifest.entries, directories)))
+    scratch_dir = ".brick-unpack"
+    # Only a manifest that lists such a name can force this.
+    while scratch_dir in directories or any(e.path == scratch_dir for e in manifest.entries):
+        scratch_dir += ".part"
+    numbers = itertools.count()  # next() is one call under the GIL: no two threads share a number
     scratch_left: set[str] = set()
-    restore = functools.partial(_restore, str(brick_dir), str(dest_dir), chain, key, scratch_left)
-    with _new_tree(dest_dir, directories, scratch_left):
-        written = _run_entries(jobs, lambda job: job[0].payload_size, restore, thread_count)
+
+    def restore(entry: ChunkEntry, threads: int) -> int:
+        """Decode one payload into a scratch file and give it its final name once it is proven.
+
+        The scratch name, relative to dest, is in scratch_left from its
+        creation until it is removed, so that a failed run can remove it if
+        its own unlink failed.
+        """
+        relative = f"{scratch_dir}/{next(numbers)}"
+        scratch = f"{dest}/{relative}"
+        decode = functools.partial(_check_entry, root, entry, True, chain, key)
+        # The scratch file is closed once _write_new returns, and not yet named.
+        finding, _ = _write_new(scratch, lambda write: decode(write, threads))
+        scratch_left.add(relative)
+        try:
+            if finding is not None:
+                raise IntegrityError(str(finding))
+            # A link, unlike a rename, never replaces a name that appeared meanwhile.
+            os.link(scratch, f"{dest}/{entry.path}")
+        finally:
+            os.unlink(scratch)
+            scratch_left.discard(relative)
+        return entry.plain_size
+
+    # The scratch directory is made last, so a failed run removes it first.
+    with _new_tree(dest_dir, [*directories, scratch_dir], scratch_left):
+        written = _run_entries(manifest.entries, lambda e: e.payload_size, restore, thread_count)
+        os.rmdir(f"{dest}/{scratch_dir}")
     return UnpackResult(dest_dir=dest_dir, file_count=len(written), bytes_written=sum(written))

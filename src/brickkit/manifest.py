@@ -218,11 +218,8 @@ class Manifest:
     codec_chain: tuple[str, ...]
     entries: tuple[ChunkEntry, ...]
     kdf: KdfParams | None = None
-    format_version: str = FORMAT_VERSION
 
     def __post_init__(self) -> None:
-        if self.format_version != FORMAT_VERSION:
-            raise ValueError(f"unsupported format version {self.format_version!r}")
         validate_chain(self.codec_chain)
         if is_encrypted(self.codec_chain) != (self.kdf is not None):
             raise ValueError("kdf parameters must be present exactly when the chain encrypts")
@@ -249,7 +246,7 @@ def write_manifest(manifest: Manifest, write: Callable[[bytes], object], size: i
     if manifest.kdf is not None:
         keys += _KDF_KEYS
         values += [manifest.kdf.algorithm, str(manifest.kdf.iterations), manifest.kdf.salt.hex()]
-    head = f"{MANIFEST_FILENAME} v{manifest.format_version}\n"
+    head = f"{MANIFEST_FILENAME} v{FORMAT_VERSION}\n"
     head += "".join(f"{key}: {value}\n" for key, value in zip(keys, values)) + "\n"
     digest = hashlib.sha256()
 

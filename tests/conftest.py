@@ -69,7 +69,7 @@ PLANTED = {
     "manifest": MANIFEST_FILENAME,
     "brick-subdirectory": "sub",
     "destination-subdirectory": "sub",
-    "scratch": ".brick-0.part",  # entry 0, a.txt, restores through it
+    "scratch": ".brick-unpack",  # the directory unpack decodes every file into
     "destination-file": "a.txt",  # the final name entry 0 is restored to
 }
 # The cases that plant a regular file holding b"planted"; the others plant a symlink.

@@ -445,6 +445,30 @@ def test_pack_holds_about_one_piece_of_the_manifest(tmp_path, monkeypatch):
     assert peak - kept <= payload.CHUNK_BYTES * 3 // 2
 
 
+def test_unpack_holds_nothing_per_entry_beyond_the_manifest(tmp_path, monkeypatch):
+    count = 20_000
+    manifest = Manifest("many", "2026-01-01T00:00:00Z", ("none",), many_entries(count))
+    (tmp_path / MANIFEST_FILENAME).write_bytes(serialize_manifest(manifest))
+    loaded = load_manifest(tmp_path)
+    held = []
+
+    def record(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return []
+
+    # The manifest is loaded before tracing starts, so what is traced is unpack's own.
+    monkeypatch.setattr(brick_mod, "load_manifest", lambda brick_dir: loaded)
+    monkeypatch.setattr(brick_mod, "_run_entries", record)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        unpack(tmp_path, tmp_path / "out", workers=1)  # no payload is read
+    finally:
+        tracemalloc.stop()
+    # A scratch name or a job per entry, held for the whole run, is over 100 B each.
+    assert held[0] - before <= 8 * count
+
+
 # ---------- unpack failure modes ----------
 
 def test_unpack_refuses_bad_destination(tmp_path):
@@ -656,6 +680,28 @@ def test_a_file_planted_after_the_check_fails_unpack_and_stays(tmp_path, monkeyp
     assert (planted.made / planted.name).read_bytes() == b"planted"
 
 
+def test_a_file_planted_in_the_scratch_directory_fails_unpack_and_stays(tmp_path, monkeypatch):
+    brick_dir, _ = packed_brick(tmp_path)
+    out = tmp_path / "out"
+    planted = out / ".brick-unpack" / "0"
+    write_new = brick_mod._write_new
+    created = []
+
+    def plant_then_write(path, produce):
+        if not created:  # the scratch directory is there, the first scratch file not yet
+            planted.write_bytes(b"planted")
+        created.append(path)
+        return write_new(path, produce)
+
+    monkeypatch.setattr(brick_mod, "_write_new", plant_then_write)
+    with pytest.raises(FileExistsError):
+        unpack(brick_dir, out)
+    assert created == [str(planted)]
+    # What the run made is removed, and the file it did not make stays, in its directory.
+    assert os.listdir(out) == [".brick-unpack"] and os.listdir(planted.parent) == ["0"]
+    assert planted.read_bytes() == b"planted"
+
+
 # Every call that opens or creates a file or directory, by enclosing function.
 # A new one is a new spelling of "open a trusted file" or "create a name":
 # route it through _open_regular, _write_new or _new_tree, or add it here.
@@ -663,9 +709,9 @@ EXPECTED_OPENS_AND_CREATES = [
     ("_new_tree", ".mkdir"),
     ("_new_tree", "os.mkdir"),
     ("_open_regular", "os.open"),
-    ("_restore", "os.link"),  # the final name: a link never replaces one that is there
     ("_write_new", "os.open"),
     ("pack.store", "os.open"),  # the source file: a missing one is an IO error, not a finding
+    ("unpack.restore", "os.link"),  # the final name: a link never replaces one that is there
 ]
 
 

@@ -837,12 +837,14 @@ def test_failed_unpack_leaves_no_scratch_file(tmp_path, chunk, damage):
 
 def test_scratch_names_never_collide_with_the_tree(tmp_path, chunk):
     source = tmp_path / "src"
-    # Sorted, entry i's first-choice scratch name is .brick-<i>.part in its
-    # directory: b's is the file at index 0, c's the directory at index 1,
-    # d/y's the file beside it.
+    # Unpack's scratch directory is .brick-unpack, with .part appended while
+    # the manifest uses the name: here a file and a directory hold the first
+    # two choices. The other .part names are shaped like scratch names too.
     files = {
         ".brick-3.part": b"shaped like a scratch name",
         ".brick-4.part/inner": b"a directory shaped like one",
+        ".brick-unpack": b"the scratch directory's name",
+        ".brick-unpack.part/inner": b"its next choice",
         "a": b"a",
         "b": b"b",
         "c": b"c",
@@ -858,7 +860,8 @@ def test_scratch_names_never_collide_with_the_tree(tmp_path, chunk):
     do_pack(source, brick_dir, ("deflate",))
     unpack(brick_dir, tmp_path / "out")
     assert read_tree(tmp_path / "out") == files
-    assert leftovers(tmp_path / "out") == sorted(set(files) | {".brick-4.part", "d"})
+    directories = {".brick-4.part", ".brick-unpack.part", "d"}
+    assert leftovers(tmp_path / "out") == sorted(set(files) | directories)
 
 
 def test_a_fifo_in_place_of_a_payload_is_missing_not_a_hang(tmp_path):
@@ -1008,7 +1011,7 @@ def test_unpack_starts_nothing_after_the_first_bad_entry(tmp_path, monkeypatch, 
         unpack(brick_dir, dest, workers=2)
     if bad == "a":  # inline, and sorted before every large entry
         assert started == ["a"] and leftovers(dest) == []
-    assert not [path for path in leftovers(dest) if path.endswith(".part")]
+    assert not [path for path in leftovers(dest) if path.startswith(".brick-unpack")]
     for path, data in read_tree(dest).items():
         assert data == (source / path).read_bytes()
 
@@ -1458,7 +1461,7 @@ def test_identity_codec_lies_give_the_same_findings_in_the_same_order(
                 with pytest.raises(IntegrityError, match=f"^{found[0]}: {name}: {re.escape(found[1])}$"):
                     unpack(brick_dir, dest, workers=workers)
                 assert not (dest / name).exists()
-            assert not [path for path in leftovers(dest) if path.endswith(".part")]
+            assert not [path for path in leftovers(dest) if path.startswith(".brick-unpack")]
         if name in flipped:
             flip(name)
 
@@ -1531,7 +1534,7 @@ def test_an_encrypted_payload_shorter_than_nonce_plus_tag(
     out = tmp_path / "out"
     assert main(["unpack", str(brick_dir), str(out), "--passphrase-env", "BRICK_TEST_PASS"]) == 1
     assert "ciphertext shorter than nonce plus tag" in capsys.readouterr().err
-    assert not [name for name in leftovers(out) if name.endswith(".part")]
+    assert not [name for name in leftovers(out) if name.startswith(".brick-unpack")]
 
 
 # ---------- one SHA-256 pass per payload byte ----------
