@@ -441,7 +441,7 @@ def _judge(entry: ChunkEntry, decoded: payload_mod.Decoded, deep: bool) -> Findi
         return None
     if decoded.error is not None:
         return Finding(entry.path, KIND_DECODE, decoded.error)
-    if decoded.overflow:
+    if decoded.plain_size > entry.plain_size:
         detail = f"decoded to more than the {entry.plain_size} bytes the manifest says"
         return Finding(entry.path, KIND_PLAIN_SIZE, detail)
     if decoded.plain_size != entry.plain_size:

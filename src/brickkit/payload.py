@@ -137,27 +137,17 @@ def new_salt() -> bytes:
 class _Sink:
     """Counts bytes, hashes them unless told not to, then hands them to `write` if there is one.
 
-    With a limit, the bytes that pass it set `overflow` and go no further.
-    Without a hash the caller's payload digest already covers these bytes.
+    It takes every byte it is fed: only _Inflate stops at a size. Without a
+    hash the caller's payload digest already covers these bytes.
     """
 
-    def __init__(
-        self,
-        write: Callable[[bytes], object] | None = None,
-        hashed: bool = True,
-        limit: int | None = None,
-    ) -> None:
+    def __init__(self, write: Callable[[bytes], object] | None = None, hashed: bool = True) -> None:
         self.size = 0
         self.hash = hashlib.sha256() if hashed else None
-        self.limit = limit
-        self.overflow = False
         self._write = write
 
     def feed(self, data: bytes) -> None:
         self.size += len(data)
-        if self.limit is not None and self.size > self.limit:
-            self.overflow = True
-            return
         if self.hash is not None:
             self.hash.update(data)
         if self._write is not None:
@@ -318,8 +308,6 @@ def encode_file(
         return Encoded(out.size, digest, out.size, digest)
     encryptor = None
     if is_encrypted(chain):
-        if key is None:
-            raise ValueError("codec chain encrypts but no key was derived")
         nonce = os.urandom(NONCE_BYTES)
         crypto = _cryptography()
         encryptor = crypto.Cipher(crypto.AES(key), crypto.GCM(nonce)).encryptor()
@@ -371,11 +359,12 @@ def encode_file(
 class Decoded(NamedTuple):
     """What one read of a payload showed; the caller ranks the findings.
 
-    plain_size is exact unless overflow is set, in which case decoding
-    stopped as soon as the output passed the expected size, plain_size is
-    one more than that size and plain_sha256 is the digest of no bytes. A
-    shallow read decodes nothing: plain_size is 0 and plain_sha256 the
-    digest of no bytes.
+    plain_size and plain_sha256 cover every plain byte decoded. Inflate
+    stops one byte past the expected size, so a plain_size over that size
+    means the payload decodes to more than it, and the digest is of a
+    prefix. Under none and aes-256-gcm the plain bytes end where the
+    payload ends. A shallow read decodes nothing: plain_size is 0 and
+    plain_sha256 the digest of no bytes.
     """
 
     payload_size: int
@@ -383,27 +372,28 @@ class Decoded(NamedTuple):
     plain_size: int
     plain_sha256: str
     error: str | None
-    overflow: bool
 
 
 class _Inflate:
-    """Deflate decoding stage.
+    """Deflate decoding stage, and the one place a read stops at the expected size.
 
-    Each output is bounded by CHUNK_BYTES and by one byte past the expected
-    size, so a forged stream cannot make it allocate or work without limit.
+    Each output is bounded by CHUNK_BYTES and by one byte past `limit`,
+    the expected size, and once `plain` has passed it no more is inflated,
+    so a forged stream cannot make it allocate or work without limit.
     """
 
-    def __init__(self, plain: _Sink) -> None:
+    def __init__(self, plain: _Sink, limit: int) -> None:
         self._decompressor = zlib.decompressobj(-zlib.MAX_WBITS)
         self._plain = plain
+        self._limit = limit
         self.error: str | None = None
 
     def feed(self, data: bytes) -> None:
         z = self._decompressor
         plain = self._plain
         try:
-            while self.error is None and not plain.overflow:
-                room = min(CHUNK_BYTES, plain.limit + 1 - plain.size)
+            while self.error is None and plain.size <= self._limit:
+                room = min(CHUNK_BYTES, self._limit + 1 - plain.size)
                 out = z.decompress(data, room)
                 if z.unused_data:
                     self.error = "data after the end of the deflate stream"
@@ -416,7 +406,7 @@ class _Inflate:
             self.error = f"deflate stream corrupt: {exc}"
 
     def finish(self) -> None:
-        if self.error is None and not self._plain.overflow and not self._decompressor.eof:
+        if self.error is None and self._plain.size <= self._limit and not self._decompressor.eof:
             self.error = "deflate stream is truncated"
 
 
@@ -509,7 +499,13 @@ def decode_file(
     aes-256-gcm alone it is a view of the buffer that the next piece is
     decrypted into, so a writer that keeps it must copy it. A GCM error is
     reported ahead of a deflate error, because deflate saw unauthenticated
-    bytes.
+    bytes. A chain that encrypts needs `key`; brick refuses to start
+    without one.
+
+    Inflate stops one byte past `plain_limit`, the expected plain size, so
+    a deflate bomb costs no more than that. Under none and aes-256-gcm the
+    plain bytes end where the payload ends, so they are all hashed and
+    written, at most `size` of them.
 
     `threads` is how many threads this read may use. With more than one, a
     payload of at least CHUNK_BYTES, one piece, gets one helper thread. In
@@ -536,20 +532,17 @@ def decode_file(
                 stage = _Stage(digest.hash.update, "brick-hash")
                 payload = _Sink(stage.put, hashed=False)
         else:
-            encrypted = is_encrypted(chain)
-            if encrypted and key is None:
-                raise ValueError("codec chain encrypts but no key was derived")
             # Under codec none the plaintext is the payload: one digest serves both.
             # `out` hashes and writes the plain bytes, `plain` counts them; on
             # one thread they are the same sink.
-            plain = out = _Sink(write, hashed=chain != (CODEC_NONE,), limit=plain_limit)
+            plain = out = _Sink(write, hashed=chain != (CODEC_NONE,))
             if CODEC_DEFLATE in chain and helped:
                 stage = _Stage(out.feed, "brick-write")
-                # This thread counts the plain bytes and stops at the limit.
-                plain = _Sink(stage.put, hashed=False, limit=plain_limit)
-            inflate = _Inflate(plain) if CODEC_DEFLATE in chain else None
+                # This thread counts the plain bytes, for inflate to stop at the limit.
+                plain = _Sink(stage.put, hashed=False)
+            inflate = _Inflate(plain, plain_limit) if CODEC_DEFLATE in chain else None
             feed = inflate.feed if inflate is not None else plain.feed
-            if encrypted:
+            if is_encrypted(chain):
                 error = _decrypt(fd, size, key, payload, feed)
             else:
                 for chunk in _read_chunks(fd, size, payload):
@@ -563,14 +556,9 @@ def decode_file(
                 raise stage.failure
     payload_sha256 = digest.hash.hexdigest()
     if plain is None:
-        return Decoded(payload.size, payload_sha256, 0, _SHA256_EMPTY, None, False)
+        return Decoded(payload.size, payload_sha256, 0, _SHA256_EMPTY, None)
     if inflate is not None:
         inflate.finish()
         error = error or inflate.error
-    if plain.overflow:
-        plain_sha256 = _SHA256_EMPTY  # only a prefix was hashed, cut where a piece ended
-    elif out.hash is not None:
-        plain_sha256 = out.hash.hexdigest()
-    else:
-        plain_sha256 = payload_sha256
-    return Decoded(payload.size, payload_sha256, plain.size, plain_sha256, error, plain.overflow)
+    plain_sha256 = out.hash.hexdigest() if out.hash is not None else payload_sha256
+    return Decoded(payload.size, payload_sha256, plain.size, plain_sha256, error)

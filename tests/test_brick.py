@@ -314,6 +314,30 @@ def test_verify_deep_requires_passphrase(tmp_path):
     assert verify(brick_dir).ok  # shallow never needs the key
 
 
+def test_a_sealed_brick_without_passphrase_decodes_nothing(tmp_path, monkeypatch, capsys):
+    """The key is refused before the first payload, so decode_file never runs keyless."""
+    brick_dir, _ = packed_brick(tmp_path, ("aes-256-gcm",))
+    dest = tmp_path / "out"
+    decoded = []
+    decode_file = payload.decode_file
+    monkeypatch.setattr(
+        payload, "decode_file", lambda *args: decoded.append(args) or decode_file(*args)
+    )
+    with pytest.raises(ConfigError, match="no passphrase"):
+        verify(brick_dir, deep=True)
+    with pytest.raises(ConfigError, match="no passphrase"):
+        unpack(brick_dir, dest)
+    capsys.readouterr()
+    for argv in (["verify", str(brick_dir), "--deep"], ["unpack", str(brick_dir), str(dest)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no passphrase" in captured.err and captured.err.count("\n") == 1
+    assert decoded == []
+    assert not dest.exists()
+    assert verify(brick_dir).ok and decoded  # a shallow read goes through the counted call
+
+
 def test_verify_deep_catches_stale_plain_digest(tmp_path):
     # Forge a brick whose payload fields are self-consistent but whose
     # plaintext digest lies; only the deep pass can notice.

@@ -61,6 +61,10 @@ def test_load_links_errors(tmp_path):
         load_links(_links_csv(tmp_path, ["T1,0,1200"]))
     with pytest.raises(ConfigError, match="no link rows"):
         load_links(_links_csv(tmp_path, []))
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(ConfigError, match="empty catalog, header row is mandatory"):
+        load_links(empty)
     with pytest.raises(FileNotFoundError):
         load_links(tmp_path / "absent.csv")
 
@@ -89,3 +93,5 @@ def test_load_media_errors(tmp_path):
     short.write_text(",".join(MEDIA_COLUMNS) + "\nTape,1000\n")
     with pytest.raises(ConfigError):
         load_media(short)
+    with pytest.raises(ConfigError, match="no media rows"):
+        load_media(_media_csv(tmp_path, []))

@@ -405,6 +405,21 @@ def test_bench_io_write_then_verified_read(tmp_path, capsys):
     assert "sequential read" in out
 
 
+def test_bench_io_short_read_is_one_io_error_line(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "disk.bin"
+    base = ["bench-io", "--target", str(target), "--size", "256K", "--no-direct"]
+    assert main([*base, "--op", "write"]) == 0
+    capsys.readouterr()
+    real_preadv = os.preadv
+
+    def short_at_128k(fd, buffers, offset):
+        return real_preadv(fd, [bytearray(100)] if offset == 128 << 10 else buffers, offset)
+
+    monkeypatch.setattr(os, "preadv", short_at_128k)
+    assert main([*base, "--op", "read"]) == 3
+    assert capsys.readouterr().err == f"io error: short read on {target} at {128 << 10}\n"
+
+
 def test_bench_io_random_defaults(tmp_path, capsys):
     target = tmp_path / "disk.bin"
     base = ["bench-io", "--target", str(target), "--size", "64K", "--no-direct"]

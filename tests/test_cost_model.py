@@ -255,3 +255,12 @@ def test_spec_validation():
     with pytest.raises(ConfigError):
         MediaSpec("m", media_cost_per_tb=1.0, robot_cost_per_site=0.0, robot_sites=1,
                   write_rate_mbps=0.0, read_rate_mbps=1.0, ship_hours=0.0)
+    for rent in (-1.0, math.inf):
+        with pytest.raises(ConfigError, match="rent must be finite and >= 0"):
+            LinkSpec("x", 1.0, rent)
+    with pytest.raises(ConfigError, match="reuse_trips must be >= 1"):
+        MediaSpec("m", media_cost_per_tb=1.0, robot_cost_per_site=0.0, robot_sites=1,
+                  write_rate_mbps=1.0, read_rate_mbps=1.0, ship_hours=0.0, reuse_trips=0)
+    with pytest.raises(ConfigError, match="shipping figures must be >= 0"):
+        MediaSpec("m", media_cost_per_tb=1.0, robot_cost_per_site=0.0, robot_sites=1,
+                  write_rate_mbps=1.0, read_rate_mbps=1.0, ship_hours=-1.0)

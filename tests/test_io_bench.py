@@ -358,6 +358,19 @@ def test_read_missing_target_is_io_error(tmp_path):
         run_io_bench(spec_for(tmp_path, op="read", name="ghost.bin"))
 
 
+def test_a_short_read_is_an_io_error(tmp_path, monkeypatch):
+    run_io_bench(spec_for(tmp_path))
+    real_preadv = os.preadv
+
+    def short_at_192k(fd, buffers, offset):
+        return real_preadv(fd, [bytearray(100)] if offset == 192 * KB else buffers, offset)
+
+    monkeypatch.setattr(os, "preadv", short_at_192k)
+    expected = f"^short read on {re.escape(str(tmp_path / 'disk.bin'))} at {192 * KB}$"
+    with pytest.raises(OSError, match=expected):
+        run_io_bench(spec_for(tmp_path, op="read"))
+
+
 # ---------- striping ----------
 
 def seven_stripe(tmp_path):

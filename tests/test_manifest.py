@@ -95,7 +95,7 @@ def test_encode_path_normalizes_to_nfc():
 
 @pytest.mark.parametrize(
     "text",
-    ["%2F", "a%2fb", "%00", "bad%GG", "trunc%4", "café", "new\nline", "%"],
+    ["%2F", "a%2fb", "%00", "bad%GG", "trunc%4", "café", "new\nline", "%", "%C3", "a%FF"],
 )
 def test_decode_path_rejects(text):
     with pytest.raises(ValueError):
@@ -518,6 +518,15 @@ def test_parse_rejects_non_canonical_salt(salt):
 def test_parse_rejects_non_canonical_paths(path):
     with pytest.raises(ManifestError, match="canonical"):
         parse_manifest(assemble(encrypted_headers(), [entry_line(path)]))
+
+
+def test_parse_rejects_a_path_that_is_not_utf8():
+    data = assemble(
+        ["dataset: set", "created: 2026-01-01T00:00:00Z", "codec: none"], [entry_line("a%FF")]
+    )
+    with pytest.raises(ManifestError, match="^line 6: path is not valid UTF-8: 'a%FF'$") as excinfo:
+        parse_manifest(data)
+    assert excinfo.value.line == 6
 
 
 def test_parse_requires_the_serialized_header_order():

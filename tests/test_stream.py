@@ -1647,7 +1647,7 @@ def truncated_reference(data: bytes, size: int, chain, key) -> payload.Decoded:
         if error is None and not decompressor.eof:
             error = "deflate stream is truncated"
     digest, plain_digest = hashlib.sha256(data).hexdigest(), hashlib.sha256(plain).hexdigest()
-    return payload.Decoded(len(data), digest, len(plain), plain_digest, error, False)
+    return payload.Decoded(len(data), digest, len(plain), plain_digest, error)
 
 
 @pytest.mark.parametrize(
@@ -2046,7 +2046,7 @@ def test_a_writer_that_copies_each_piece_gets_the_plain_bytes(tmp_path, threads)
     assert b"".join(kept) == plain
     assert decoded == (
         entry.payload_size, entry.payload_sha256, len(plain), hashlib.sha256(plain).hexdigest(),
-        None, False,
+        None,
     )
 
 

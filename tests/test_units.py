@@ -65,6 +65,11 @@ def test_humanize_edges(seconds, expected):
     assert humanize_duration(seconds) == expected
 
 
+def test_humanize_refuses_a_negative_duration():
+    with pytest.raises(ConfigError, match="negative"):
+        humanize_duration(-1)
+
+
 def test_humanize_accepts_duration_object():
     assert humanize_duration(Duration(8000.0)) == "2.2 hours"
 
