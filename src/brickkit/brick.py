@@ -229,15 +229,16 @@ def _run_entries(
     workers, is hashed, or under deflate written, beside its reader, and a
     busy pool starts no helper. Pack's deflate blocks draw on a pool of
     their own instead.
+
+    Each job is sized once, and whether it is pooled decided once, before
+    the first job runs.
     """
     stop = threading.Event()
-
-    def pooled(job: Any) -> bool:
-        return workers > 1 and size(job) >= payload_mod.CHUNK_BYTES
-
-    inline_bytes = sum(size(job) for job in jobs if not pooled(job))
+    sizes = [size(job) for job in jobs]
+    pooled = [workers > 1 and n >= payload_mod.CHUNK_BYTES for n in sizes]
+    inline_bytes = sum(n for n, in_pool in zip(sizes, pooled) if not in_pool)
     slots = workers - (inline_bytes >= payload_mod.CHUNK_BYTES)
-    share = max(1, slots // max(1, sum(map(pooled, jobs))))
+    share = max(1, slots // max(1, sum(pooled)))
 
     def run(job: Any, threads: int) -> Any:
         if stop.is_set():
@@ -252,10 +253,10 @@ def _run_entries(
     unfinished: dict[Future, int] = {}  # each pooled job's place in results
     with ThreadPoolExecutor(max_workers=workers) as pool:
         try:
-            for job in jobs:
+            for job, in_pool in zip(jobs, pooled):
                 if stop.is_set():
                     break
-                if not pooled(job):
+                if not in_pool:
                     results.append(run(job, 1))
                     continue
                 if len(unfinished) == 2 * workers:
@@ -491,7 +492,9 @@ def verify(
     up to CHUNK_BYTES, so a busy pool starts none. The helper takes the
     payload's SHA-256 in a shallow check, and hashes the plain bytes of a
     deflate payload in a deep one, while the pool thread reads (and, deep,
-    decrypts and inflates) it.
+    decrypts and inflates) it. A smaller payload that the check decodes
+    nothing of, shallow or under codec none, is read in one call
+    (payload.decode_file).
     """
     brick_dir = Path(brick_dir)
     thread_count = _worker_count(workers)

@@ -9,7 +9,8 @@ Both directions stream: a file is read once, in pieces of at most
 CHUNK_BYTES, and every digest and codec is fed from that one read, so
 memory stays flat whatever the file size. Inflate output comes in pieces
 of the same bound. An encrypted payload is read as its three parts in
-turn: the nonce, the ciphertext, then the tag.
+turn: the nonce, the ciphertext, then the tag. A payload under CHUNK_BYTES
+that a read decodes nothing of is one piece, read and hashed in one call.
 
 Deflate runs in blocks of CHUNK_BYTES, in the manner of pigz: each block
 is primed with the 32 KiB of input before it and ends on a byte boundary,
@@ -152,6 +153,23 @@ class _Sink:
             self.hash.update(data)
         if self._write is not None:
             self._write(data)
+
+
+def _read_whole(fd: int, size: int) -> bytes:
+    """The next `size` bytes of fd, in one os.read unless it comes back short.
+
+    A short read is followed by reads for the rest until the file ends;
+    then the bytes are fewer than `size`, and the caller's digest shows it.
+    """
+    data = os.read(fd, size) if size else b""
+    if 0 < len(data) < size:
+        pieces = [data]
+        left = size - len(data)
+        while left and (piece := os.read(fd, left)):
+            pieces.append(piece)
+            left -= len(piece)
+        data = b"".join(pieces)
+    return data
 
 
 def _read_chunks(fd: int, size: int, sink: _Sink) -> Iterator[bytes]:
@@ -518,7 +536,20 @@ def decode_file(
     has ended before this returns or raises. An exception in it is raised
     ahead of one here, since it comes from earlier in the stream. The
     result is the same as with one thread.
+
+    A payload under CHUNK_BYTES that the read decodes nothing of, shallow
+    or under none, is read whole, in one os.read unless it comes back
+    short, hashed in one call and handed to write() as one piece: the same
+    result, without the streaming loop's per-piece Python.
     """
+    if size < CHUNK_BYTES and (chain is None or chain == (CODEC_NONE,)):
+        data = _read_whole(fd, size)
+        payload_sha256 = hashlib.sha256(data).hexdigest()
+        if chain is None:
+            return Decoded(len(data), payload_sha256, 0, _SHA256_EMPTY, None)
+        if write is not None and data:
+            write(data)
+        return Decoded(len(data), payload_sha256, len(data), payload_sha256, None)
     # `payload` counts the stored bytes and `digest` hashes them; on one
     # thread they are the same sink.
     payload = digest = _Sink()

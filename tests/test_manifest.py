@@ -291,6 +291,9 @@ def test_round_trip_random_manifests(count, rng, piece_bytes):
     m = manifest(entries)
     data = serialize_manifest(m)
     assert parse_manifest(data) == parse_manifest(bytearray(data)) == m
+    # Windows shorter than an entry line: each window runs on to its line's end.
+    with mock.patch.object(manifest_module, "_WINDOW_BYTES", 64):
+        assert parse_manifest(data) == m
     # Pieces of any size join to the same bytes; only the last may be shorter.
     pieces = []
     write_manifest(m, pieces.append, piece_bytes)
@@ -363,12 +366,44 @@ def test_parse_requires_kdf_when_encrypted():
         parse_manifest(corrupt(data, b"iterations: 210000\n", b""))
 
 
+# Each path that check_relative_path refuses, or that must be escaped, and its error.
+BAD_PATHS = {
+    "a/": "path has a '' segment: 'a/'",
+    "./a": "path has a '.' segment: './a'",
+    "a/../b": "path has a '..' segment: 'a/../b'",
+    "a//b": "path has a '' segment: 'a//b'",
+    "a/.": "path has a '.' segment: 'a/.'",
+    "/a": "absolute path not allowed: '/a'",
+    "caf\u00e9": "unescaped byte in path: 'caf\u00e9'",
+}
+
+
 def test_parse_rejects_bad_entry_lines():
     base = manifest([entry("aaa")])
     data = serialize_manifest(base)
     bad_fields = corrupt(data, b"aaa\t1\t", b"aaa\t1\textra\t")
     with pytest.raises(ManifestError):
         parse_manifest(bad_fields)
+    # A bad path fails on its own line: first, after plain lines, or after
+    # an escaped one, in windows of one line and of many. Line 6 is the
+    # first entry line.
+    headers = ["dataset: set", "created: 2026-01-01T00:00:00Z", "codec: none"]
+    for window in (64, manifest_module._WINDOW_BYTES):
+        for before in ([], ["0", "1"], ["0", "1/caf%C3%A9", "2"]):
+            with mock.patch.object(manifest_module, "_WINDOW_BYTES", window):
+                for path, error in BAD_PATHS.items():
+                    data = assemble(headers, [entry_line(p) for p in (*before, path, "z")])
+                    with pytest.raises(ManifestError) as excinfo:
+                        parse_manifest(data)
+                    assert str(excinfo.value) == f"line {6 + len(before)}: {error}", window
+                lines = [entry_line(p) for p in (*before, "z")]
+                parsed = parse_manifest(assemble(headers, lines))
+                # A byte that is not UTF-8 fails on its line too.
+                data = corrupt(assemble(headers, lines), b"\nz\t", b"\n\xff\t")
+                with pytest.raises(ManifestError) as excinfo:
+                    parse_manifest(data)
+                assert str(excinfo.value) == f"line {6 + len(before)}: not valid UTF-8"
+            assert [e.path for e in parsed.entries] == [decode_path(p) for p in (*before, "z")]
 
 
 def test_parse_rejects_unsorted_entries():
@@ -382,8 +417,16 @@ def test_parse_rejects_unsorted_entries():
     digest = hashlib.sha256(second.line() + first.line()).hexdigest()
     in_order = hashlib.sha256(first.line() + second.line()).hexdigest()
     swapped = corrupt(swapped, in_order.encode(), digest.encode())
-    with pytest.raises(ManifestError, match="ascending"):
+    with pytest.raises(ManifestError, match="^line 7: entries not strictly ascending at 'aaa'$"):
         parse_manifest(swapped)
+    # An escaped path is ordered against the plain ones on either side of it.
+    headers = ["dataset: set", "created: 2026-01-01T00:00:00Z", "codec: none"]
+    cases = [(["b", "a%25"], "a%"), (["c%25", "b"], "b"), (["a", "c%25", "c%25"], "c%")]
+    for paths, at in cases:
+        with pytest.raises(ManifestError) as excinfo:
+            parse_manifest(assemble(headers, [entry_line(p) for p in paths]))
+        line = 5 + len(paths)
+        assert str(excinfo.value) == f"line {line}: entries not strictly ascending at {at!r}"
 
 
 def test_parse_rejects_content_after_digest():

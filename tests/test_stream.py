@@ -184,11 +184,19 @@ def stage_starts(monkeypatch):
 
 
 def decode_with(path: Path, size: int, chain, key, plain_limit: int, threads: int):
-    """decode_file of the file at path, and the plain bytes it wrote."""
+    """decode_file of the file at path, and the plain bytes it wrote.
+
+    Each piece is copied: under aes-256-gcm it is a view of a buffer the
+    next piece is decrypted into.
+    """
     written = []
+
+    def write(piece) -> None:
+        written.append(bytes(piece))
+
     fd = os.open(path, os.O_RDONLY)
     try:
-        decoded = payload.decode_file(fd, size, chain, key, plain_limit, written.append, threads)
+        decoded = payload.decode_file(fd, size, chain, key, plain_limit, write, threads)
     finally:
         os.close(fd)
     return decoded, b"".join(written)
@@ -1650,14 +1658,19 @@ def truncated_reference(data: bytes, size: int, chain, key) -> payload.Decoded:
     return payload.Decoded(len(data), digest, len(plain), plain_digest, error)
 
 
+THREADED_CHAINS = [("none",), *DEFLATE_CHAINS]
+
+
 @pytest.mark.parametrize(
     "chain, threads",
-    [(chain, 1) for chain in CHAINS] + [(chain, 2) for chain in DEFLATE_CHAINS],
-    ids=CHAIN_IDS + [f"{','.join(chain)}-threads2" for chain in DEFLATE_CHAINS],
+    [(chain, 1) for chain in CHAINS] + [(chain, 2) for chain in THREADED_CHAINS],
+    ids=CHAIN_IDS + [f"{','.join(chain)}-threads2" for chain in THREADED_CHAINS],
 )
 def test_a_payload_shorter_than_its_size_decodes_without_raising(
     tmp_path, chunk, chain, threads, stage_starts
 ):
+    # Under the 4 KiB chunk the payload is under CHUNK_BYTES, so a shallow
+    # read, or a deep one under none, takes decode_file's one-piece read.
     source = tmp_path / "src"
     source.mkdir()
     (source / "f").write_bytes(body(3000, 9))
@@ -1671,15 +1684,25 @@ def test_a_payload_shorter_than_its_size_decodes_without_raising(
     # In the nonce, at its end, in the ciphertext, at its end, in the tag.
     cuts = [0, 5, nonce, nonce + 3, size // 2, size - tag, size - 5, size - 1]
     for cut in cuts:
-        (brick_dir / "f").write_bytes(stored[:cut])
+        data = stored[:cut]
+        (brick_dir / "f").write_bytes(data)
         decoded, written = decode_with(brick_dir / "f", size, chain, key, entry.plain_size, threads)
-        assert decoded == truncated_reference(stored[:cut], size, chain, key), f"cut at {cut}"
+        assert decoded == truncated_reference(data, size, chain, key), f"cut at {cut}"
         assert len(written) == decoded.plain_size
+        # A shallow read hashes the bytes that are there and decodes none.
+        shallow = decode_with(brick_dir / "f", size, None, None, 0, threads)
+        digest, empty = hashlib.sha256(data).hexdigest(), hashlib.sha256(b"").hexdigest()
+        assert shallow == (payload.Decoded(cut, digest, 0, empty, None), b""), f"cut at {cut}"
+        # Reads that come back with at most 7 bytes each give the same results.
+        with pytest.MonkeyPatch.context() as capped:
+            cap_reads(capped, 7)
+            again = decode_with(brick_dir / "f", size, chain, key, entry.plain_size, threads)
+            assert again == (decoded, written), f"cut at {cut}"
+            assert decode_with(brick_dir / "f", size, None, None, 0, threads) == shallow
         if threads > 1:
             serial = decode_with(brick_dir / "f", size, chain, key, entry.plain_size, 1)
             assert (decoded, written) == serial, f"cut at {cut}"
-            shallow = [decode_with(brick_dir / "f", size, None, None, 0, n) for n in (1, threads)]
-            assert shallow[1] == shallow[0], f"cut at {cut}"
+            assert decode_with(brick_dir / "f", size, None, None, 0, 1) == shallow, f"cut at {cut}"
     assert bool(stage_starts) == (threads > 1 and size >= chunk)
 
 
